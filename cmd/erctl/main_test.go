@@ -130,10 +130,11 @@ func TestWatchWalResume(t *testing.T) {
 
 	// The WAL directory holds the full state: reopening it directly shows
 	// all four ops applied exactly once.
-	r, err := er.PersistentResolver(walDir, er.StreamingConfig{
+	r, err := er.Open(context.Background(), er.Config{
 		Kind:    er.Dirty,
 		Blocker: &er.TokenBlocking{},
 		Matcher: &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.4},
+		Dir:     walDir,
 		Durable: er.StreamingDurable{NoSync: true},
 	})
 	if err != nil {
@@ -177,18 +178,23 @@ func TestWatchStreamShards(t *testing.T) {
 	// The rerun resumes from the per-shard WALs and skips the whole log.
 	watch([]string{"-ops", opsPath, "-stream-shards", "3", "-wal", walDir, "-snapshot-every", "2", "-wal-nosync", "-print-matches"})
 
-	r, err := er.PersistentShardedResolver(walDir, er.ShardedConfig{
+	r, err := er.Open(context.Background(), er.Config{
 		Kind:    er.Dirty,
 		Blocker: &er.TokenBlocking{},
 		Matcher: &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.4},
 		Shards:  3,
+		Dir:     walDir,
 		Durable: er.StreamingDurable{SnapshotEvery: 2, NoSync: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if !r.Recovered() {
+	recovered := false
+	for _, rec := range r.(er.DurableReporter).Recovery() {
+		recovered = recovered || rec.Recovered
+	}
+	if !recovered {
 		t.Fatal("sharded wal directory holds no recovered state")
 	}
 	st2, err := r.Stats()
@@ -375,10 +381,11 @@ func TestWatchWithSources(t *testing.T) {
 	watch(args)
 	watch(args) // resume: skips the 2 source records and both ops
 
-	r, err := er.PersistentResolver(walDir, er.StreamingConfig{
+	r, err := er.Open(context.Background(), er.Config{
 		Kind:    er.Dirty,
 		Blocker: &er.TokenBlocking{},
 		Matcher: &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.4},
+		Dir:     walDir,
 		Durable: er.StreamingDurable{NoSync: true},
 	})
 	if err != nil {

@@ -20,19 +20,16 @@
 //   - iterative resolution: RSwoosh, Collective, IterativeBlocking;
 //   - progressive resolution: PSNM, SlidingWindow, Hierarchy, BenefitCost
 //     schedulers and the budgeted runner;
-//   - streaming resolution: StreamingResolver maintaining blocks, matches
-//     and clusters under live insert/update/delete traffic, with an op-log
-//     exchange format (ReadStreamOps/WriteStreamOps), optional live
-//     meta-blocking (StreamingConfig.Meta: WEP/WNP pruning of CBS/ECBS/JS
-//     weights over the incrementally-maintained WeightedBlockingGraph),
-//     and a durable storage layer (PersistentResolver: every operation
-//     journaled to fsync'd CRC-framed WAL segments, compacted into
-//     snapshots, crash-recovered by snapshot restore plus bounded tail
-//     replay), and a sharded deployment form (ShardedResolver: the
-//     blocking-key space hash-partitioned across N shard resolvers with
-//     coordinator-merged reads, bit-exact with the single-node resolver
-//     for every shard count, per-shard group-committed WALs, and
-//     crash-tested shard stop/rejoin bootstrap);
+//   - streaming resolution: Open returns a Resolver maintaining blocks,
+//     matches and clusters under live insert/update/delete traffic, with an
+//     op-log exchange format (ReadStreamOps/WriteStreamOps), optional live
+//     meta-blocking (Config.Meta: WEP/WNP pruning of CBS/ECBS/JS weights
+//     over the incrementally-maintained WeightedBlockingGraph), a durable
+//     storage layer (Config.Dir: every operation journaled to fsync'd
+//     CRC-framed WAL segments, compacted into snapshots, crash-recovered by
+//     snapshot restore plus bounded tail replay), and sharded (Config.Shards)
+//     and networked (Config.Addrs) deployment forms, bit-exact with the
+//     single-node resolver for every shard count;
 //   - the Pipeline tying the phases together (Fig. 1 of the paper);
 //   - synthetic data generation, N-Triples I/O and evaluation metrics.
 //
@@ -61,7 +58,6 @@ import (
 	"entityres/internal/pipeline"
 	"entityres/internal/progressive"
 	"entityres/internal/rdf"
-	"entityres/internal/sharded"
 	"entityres/internal/simjoin"
 	"entityres/internal/tabular"
 	"entityres/internal/token"
@@ -106,16 +102,11 @@ func NewPair(a, b ID) Pair { return entity.NewPair(a, b) }
 
 // Tokenization.
 type (
-	// Profiler converts descriptions to tokens (see Scheme).
+	// Profiler converts descriptions to schema-agnostic tokens; a nil
+	// *Profiler is the default.
 	Profiler = token.Profiler
 	// Stopwords is a token exclusion set.
 	Stopwords = token.Stopwords
-)
-
-// Tokenization schemes.
-const (
-	SchemaAgnostic = token.SchemaAgnostic
-	SchemaAware    = token.SchemaAware
 )
 
 // DefaultProfiler returns the schema-agnostic profiler with default
@@ -337,15 +328,6 @@ const (
 
 // Streaming resolution.
 type (
-	// StreamingResolver is a long-lived incremental resolver: it accepts a
-	// stream of insert/update/delete operations and maintains blocks,
-	// matches and entity clusters under them, with the differential
-	// guarantee that its state always equals a from-scratch batch run over
-	// the surviving descriptions — including, when StreamingConfig.Meta is
-	// set, a batch run with the same meta-blocking configuration.
-	StreamingResolver = incremental.Resolver
-	// StreamingConfig parameterizes a StreamingResolver.
-	StreamingConfig = incremental.Config
 	// StreamingStats summarizes a resolver's work.
 	StreamingStats = incremental.Stats
 	// StreamingPerf is a resolver's cumulative per-op work counters:
@@ -378,86 +360,15 @@ const (
 
 // Durable streaming resolution: the WAL-backed storage layer.
 type (
-	// StreamingDurable tunes a persistent resolver's write-ahead log:
+	// StreamingDurable tunes a durable resolver's write-ahead log:
 	// segment rotation size, snapshot-compaction cadence and fsync policy
-	// (StreamingConfig.Durable).
+	// (Config.Durable).
 	StreamingDurable = incremental.DurableOptions
-	// StreamingRecovery reports what PersistentResolver restored: whether
-	// state was found, the snapshot anchor, and how many WAL records the
-	// bounded tail replay touched (StreamingResolver.Recovery).
+	// StreamingRecovery reports what opening a durable resolver restored:
+	// whether state was found, the snapshot anchor, and how many WAL
+	// records the bounded tail replay touched (DurableReporter.Recovery).
 	StreamingRecovery = incremental.RecoveryInfo
-	// StreamJournal is the pluggable journal a resolver writes every
-	// operation through before applying it; the in-memory resolver uses a
-	// no-op implementation, PersistentResolver the WAL-backed one.
-	StreamJournal = incremental.Journal
-	// StreamRecord is one journaled operation in replayable form.
-	StreamRecord = incremental.Record
 )
-
-// NewStreamingResolver validates the configuration and returns an empty
-// in-memory streaming resolver (nothing is persisted).
-//
-// Deprecated: use Open with a Config carrying the same fields; it returns
-// the unified Resolver interface. This constructor remains for one release.
-func NewStreamingResolver(cfg StreamingConfig) (*StreamingResolver, error) {
-	return incremental.New(cfg)
-}
-
-// PersistentResolver opens a durable streaming resolver backed by a
-// write-ahead log in dir, creating it on first use. Every operation is
-// journaled (fsync'd, CRC-framed segment files) before it is applied and
-// periodically compacted into a snapshot of the full resolver state —
-// surviving descriptions, blocks, match graph, weighted blocking graph and
-// counters — so reopening the directory after a crash restores the
-// snapshot and replays only the WAL tail. The recovered resolver is
-// bit-identical to one that processed the acknowledged operations without
-// interruption; use StreamingResolver.Recovery to inspect what was
-// restored, Compact to checkpoint on demand, Snapshot to materialize the
-// live state, and Close to seal the journal.
-//
-// Deprecated: use Open with Config.Dir set. This constructor remains for
-// one release.
-func PersistentResolver(dir string, cfg StreamingConfig) (*StreamingResolver, error) {
-	return incremental.OpenResolver(dir, cfg)
-}
-
-// Sharded streaming resolution: the key-partitioned deployment form.
-type (
-	// ShardedResolver distributes the streaming resolver across the
-	// blocking-key space: a coordinator hash-partitions keys over N shard
-	// resolvers, fans every operation out in parallel, and merges the
-	// shard-local match edges so reads are globally consistent — and
-	// bit-exact with the single-node StreamingResolver (and batch) for
-	// every shard count, including comparison counts and restructured
-	// blocks. Shards journal to their own WALs (group-commit fsync
-	// batching) and can be hard-stopped and rejoined from their own
-	// snapshot + WAL tail (StopShard / RejoinShard) without global replay.
-	ShardedResolver = sharded.Resolver
-	// ShardedConfig parameterizes a ShardedResolver: the StreamingConfig
-	// fields plus the shard count and per-shard durability options.
-	ShardedConfig = sharded.Config
-)
-
-// NewShardedResolver validates the configuration and returns an empty
-// in-memory sharded streaming resolver.
-//
-// Deprecated: use Open with Config.Shards > 1. This constructor remains
-// for one release.
-func NewShardedResolver(cfg ShardedConfig) (*ShardedResolver, error) {
-	return sharded.New(cfg)
-}
-
-// PersistentShardedResolver opens a durable sharded resolver rooted at
-// dir: shard i journals every operation to its own write-ahead log under
-// dir/shard-%03d, and an existing directory is recovered shard by shard
-// with the coordinator's replica rebuilt from the shards. The shard count
-// is pinned in a manifest on first use.
-//
-// Deprecated: use Open with Config.Dir and Config.Shards set. This
-// constructor remains for one release.
-func PersistentShardedResolver(dir string, cfg ShardedConfig) (*ShardedResolver, error) {
-	return sharded.Open(dir, cfg)
-}
 
 // NewBlockIndex returns an empty incremental block index.
 func NewBlockIndex(kind Kind) *BlockIndex { return blocking.NewBlockIndex(kind) }

@@ -4,18 +4,14 @@ import (
 	"context"
 	"fmt"
 
-	"entityres/internal/entity"
 	"entityres/internal/incremental"
 	"entityres/internal/sharded"
 	"entityres/internal/transport"
 )
 
-// This file is the v2 resolver API: one Open call returning one Resolver
+// This file is the resolver API: one Open call returning one Resolver
 // interface, with durability, sharding and networking selected by Config
-// instead of by constructor. The v1 constructors (NewStreamingResolver,
-// PersistentResolver, NewShardedResolver, PersistentShardedResolver)
-// remain as deprecated aliases for one release; see the migration note in
-// the README.
+// instead of by constructor.
 
 // Config selects and parameterizes a resolver deployment for Open.
 //
@@ -224,9 +220,9 @@ func Open(ctx context.Context, cfg Config) (Resolver, error) {
 		if err != nil {
 			return nil, err
 		}
-		r = &networkedResolver{co: co}
+		r = networkedResolver{resolver{co}, co}
 	case cfg.Shards > 1:
-		var sh *ShardedResolver
+		var sh *sharded.Resolver
 		var err error
 		if cfg.Dir != "" {
 			sh, err = sharded.Open(cfg.Dir, cfg.sharded())
@@ -236,13 +232,13 @@ func Open(ctx context.Context, cfg Config) (Resolver, error) {
 		if err != nil {
 			return nil, err
 		}
-		r = &shardedAdapter{sh: sh}
+		r = localResolver{resolver{sh}, sh}
 	default:
 		icfg := incremental.Config{
 			Kind: cfg.Kind, Blocker: cfg.Blocker, Matcher: cfg.Matcher,
 			Workers: cfg.Workers, Meta: cfg.Meta, Durable: cfg.Durable,
 		}
-		var sr *StreamingResolver
+		var sr *incremental.Resolver
 		var err error
 		if cfg.Dir != "" {
 			sr, err = incremental.OpenResolver(cfg.Dir, icfg)
@@ -252,7 +248,7 @@ func Open(ctx context.Context, cfg Config) (Resolver, error) {
 		if err != nil {
 			return nil, err
 		}
-		r = &singleAdapter{sr: sr}
+		r = localResolver{resolver{sr}, singleReporter{sr}}
 	}
 	if len(cfg.Sources) > 0 {
 		if err := preloadSources(ctx, r, cfg.Sources); err != nil {
@@ -263,7 +259,7 @@ func Open(ctx context.Context, cfg Config) (Resolver, error) {
 	return r, nil
 }
 
-// queryBackend is the read surface the three adapters share. The
+// queryBackend is the read surface every deployment form shares. The
 // reconciling reads (MatchedWith, Clusters) return the reconcile's error —
 // a poisoned journal surfaces as ErrBroken instead of a panic.
 type queryBackend interface {
@@ -327,91 +323,59 @@ func clusterOf(clusters [][]ID, id ID) []ID {
 	return []ID{id}
 }
 
-// singleAdapter adapts the single-node streaming resolver.
-type singleAdapter struct{ sr *StreamingResolver }
+// backend is the method set every deployment form shares: the
+// single-node resolver, the in-process sharded resolver and the networked
+// coordinator.
+type backend interface {
+	queryBackend
+	Insert(ctx context.Context, d *Description) (ID, error)
+	Update(ctx context.Context, id ID, attrs []Attribute) error
+	Delete(ctx context.Context, id ID) error
+	ApplyBatch(ctx context.Context, recs []incremental.Record) error
+	Stats() (StreamingStats, error)
+	Flush(ctx context.Context) error
+	Close() error
+	Perf() StreamingPerf
+}
 
-func (a *singleAdapter) Insert(ctx context.Context, d *Description) (ID, error) {
-	return a.sr.Insert(ctx, d)
-}
-func (a *singleAdapter) Update(ctx context.Context, id ID, attrs []Attribute) error {
-	return a.sr.Update(ctx, id, attrs)
-}
-func (a *singleAdapter) Delete(ctx context.Context, id ID) error { return a.sr.Delete(id) }
-func (a *singleAdapter) ApplyBatch(ctx context.Context, ops []StreamOp) error {
-	return a.sr.ApplyBatch(ctx, batchRecords(ops))
-}
-func (a *singleAdapter) Query(ctx context.Context, q Query) (Result, error) {
-	return runQuery(a.sr, q)
-}
-func (a *singleAdapter) Stats() (StreamingStats, error)  { return a.sr.Stats() }
-func (a *singleAdapter) Flush(ctx context.Context) error { return a.sr.Flush(ctx) }
-func (a *singleAdapter) Close() error                    { return a.sr.Close() }
-func (a *singleAdapter) Recovery() []StreamingRecovery   { return []StreamingRecovery{a.sr.Recovery()} }
-func (a *singleAdapter) Abandon()                        { a.sr.Abandon() }
-func (a *singleAdapter) Perf() StreamingPerf             { return a.sr.Perf() }
+// resolver adapts any backend to Resolver and PerfReporter.
+type resolver struct{ backend }
 
-// shardedAdapter adapts the in-process sharded resolver.
-type shardedAdapter struct{ sh *ShardedResolver }
+func (r resolver) ApplyBatch(ctx context.Context, ops []StreamOp) error {
+	return r.backend.ApplyBatch(ctx, batchRecords(ops))
+}
 
-func (a *shardedAdapter) Insert(ctx context.Context, d *Description) (ID, error) {
-	return a.sh.Insert(ctx, d)
+func (r resolver) Query(ctx context.Context, q Query) (Result, error) {
+	return runQuery(r.backend, q)
 }
-func (a *shardedAdapter) Update(ctx context.Context, id ID, attrs []Attribute) error {
-	return a.sh.Update(ctx, id, attrs)
-}
-func (a *shardedAdapter) Delete(ctx context.Context, id ID) error { return a.sh.Delete(id) }
-func (a *shardedAdapter) ApplyBatch(ctx context.Context, ops []StreamOp) error {
-	return a.sh.ApplyBatch(ctx, batchRecords(ops))
-}
-func (a *shardedAdapter) Query(ctx context.Context, q Query) (Result, error) {
-	return runQuery(a.sh, q)
-}
-func (a *shardedAdapter) Stats() (StreamingStats, error)  { return a.sh.Stats() }
-func (a *shardedAdapter) Flush(ctx context.Context) error { return a.sh.Flush(ctx) }
-func (a *shardedAdapter) Close() error                    { return a.sh.Close() }
-func (a *shardedAdapter) Recovery() []StreamingRecovery   { return a.sh.Recovery() }
-func (a *shardedAdapter) Abandon()                        { a.sh.Abandon() }
-func (a *shardedAdapter) Perf() StreamingPerf             { return a.sh.Perf() }
 
-// networkedResolver adapts the transport coordinator; it additionally
-// implements ShardRejoiner.
-type networkedResolver struct{ co *transport.Coordinator }
+// localResolver is a local deployment form: it adds DurableReporter.
+type localResolver struct {
+	resolver
+	DurableReporter
+}
 
-func (a *networkedResolver) Insert(ctx context.Context, d *Description) (ID, error) {
-	return a.co.Insert(ctx, d)
+// networkedResolver is the networked form: it adds ShardRejoiner.
+type networkedResolver struct {
+	resolver
+	ShardRejoiner
 }
-func (a *networkedResolver) Update(ctx context.Context, id ID, attrs []Attribute) error {
-	return a.co.Update(ctx, id, attrs)
+
+// singleReporter renders the single-node resolver's one recovery report
+// in DurableReporter's per-journal form.
+type singleReporter struct{ *incremental.Resolver }
+
+func (s singleReporter) Recovery() []StreamingRecovery {
+	return []StreamingRecovery{s.Resolver.Recovery()}
 }
-func (a *networkedResolver) Delete(ctx context.Context, id ID) error { return a.co.Delete(ctx, id) }
-func (a *networkedResolver) ApplyBatch(ctx context.Context, ops []StreamOp) error {
-	return a.co.ApplyBatch(ctx, batchRecords(ops))
-}
-func (a *networkedResolver) Query(ctx context.Context, q Query) (Result, error) {
-	return runQuery(a.co, q)
-}
-func (a *networkedResolver) Stats() (StreamingStats, error)  { return a.co.Stats() }
-func (a *networkedResolver) Flush(ctx context.Context) error { return a.co.Flush(ctx) }
-func (a *networkedResolver) Close() error                    { return a.co.Close() }
-func (a *networkedResolver) RejoinShard(ctx context.Context, shard int) error {
-	return a.co.RejoinShard(ctx, shard)
-}
-func (a *networkedResolver) TransportStats() TransportStats { return a.co.TransportStats() }
-func (a *networkedResolver) Perf() StreamingPerf            { return a.co.Perf() }
 
 // compile-time conformance
 var (
-	_ Resolver        = (*singleAdapter)(nil)
-	_ Resolver        = (*shardedAdapter)(nil)
-	_ Resolver        = (*networkedResolver)(nil)
-	_ ShardRejoiner   = (*networkedResolver)(nil)
-	_ DurableReporter = (*singleAdapter)(nil)
-	_ DurableReporter = (*shardedAdapter)(nil)
-	_ PerfReporter    = (*singleAdapter)(nil)
-	_ PerfReporter    = (*shardedAdapter)(nil)
-	_ PerfReporter    = (*networkedResolver)(nil)
-	_ queryBackend    = (*incremental.Resolver)(nil)
-	_ queryBackend    = (*sharded.Resolver)(nil)
-	_ queryBackend    = (*transport.Coordinator)(nil)
-	_                 = entity.Description{}
+	_ backend         = (*incremental.Resolver)(nil)
+	_ backend         = (*sharded.Resolver)(nil)
+	_ backend         = (*transport.Coordinator)(nil)
+	_ PerfReporter    = resolver{}
+	_ ShardRejoiner   = (*transport.Coordinator)(nil)
+	_ DurableReporter = (*sharded.Resolver)(nil)
+	_ DurableReporter = singleReporter{}
 )

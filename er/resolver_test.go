@@ -201,6 +201,31 @@ func TestOpenConformance(t *testing.T) {
 	}
 }
 
+// TestDeleteCancelled: every form checks Delete's context at admission — a
+// cancelled context fails the delete with the context's error and leaves
+// the state untouched.
+func TestDeleteCancelled(t *testing.T) {
+	ctx := context.Background()
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	for name, r := range openAll(t, ctx) {
+		id, err := r.Insert(ctx, &er.Description{URI: "u:x", Attrs: []er.Attribute{{Name: "n", Value: "x"}}})
+		if err != nil {
+			t.Fatalf("%s: insert: %v", name, err)
+		}
+		before := mustStats(t, r)
+		if err := r.Delete(cancelled, id); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: Delete with a cancelled context = %v, want context.Canceled", name, err)
+		}
+		if after := mustStats(t, r); after != before {
+			t.Fatalf("%s: cancelled Delete changed stats %+v -> %+v", name, before, after)
+		}
+		if _, err := r.Query(ctx, er.Query{ID: id}); err != nil {
+			t.Fatalf("%s: description gone after a cancelled Delete: %v", name, err)
+		}
+	}
+}
+
 func TestQueryValidation(t *testing.T) {
 	ctx := context.Background()
 	r, err := er.Open(ctx, v2Config())
@@ -247,33 +272,6 @@ func TestOpenValidation(t *testing.T) {
 	mismatch.Addrs = []string{"127.0.0.1:1", "127.0.0.1:2"}
 	if _, err := er.Open(ctx, mismatch); err == nil {
 		t.Error("Open accepted Shards=3 with 2 addresses")
-	}
-}
-
-// TestDeprecatedAliases: the v1 constructors still work during the
-// deprecation window.
-func TestDeprecatedAliases(t *testing.T) {
-	ctx := context.Background()
-	r, err := er.NewStreamingResolver(er.StreamingConfig{
-		Kind:    er.Dirty,
-		Blocker: &er.TokenBlocking{},
-		Matcher: &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Insert(ctx, &er.Description{URI: "u:v1", Attrs: []er.Attribute{{Name: "n", Value: "v"}}}); err != nil {
-		t.Fatal(err)
-	}
-	sh, err := er.NewShardedResolver(er.ShardedConfig{
-		Kind: er.Dirty, Blocker: &er.TokenBlocking{},
-		Matcher: &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.5}, Shards: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -33,7 +33,8 @@ func TestFacadeStreamingResolver(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := er.NewStreamingResolver(er.StreamingConfig{
+	ctx := context.Background()
+	r, err := er.Open(ctx, er.Config{
 		Kind:    er.Dirty,
 		Blocker: &er.TokenBlocking{},
 		Matcher: &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.5},
@@ -42,28 +43,23 @@ func TestFacadeStreamingResolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
+	defer r.Close()
 	for i, op := range decoded {
-		if err := r.Apply(ctx, op); err != nil {
+		if err := r.ApplyBatch(ctx, []er.StreamOp{op}); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
 
 	// Survivors: a and (updated) c, now identical — one match, one cluster.
-	a, ok := r.Lookup("u:a")
-	if !ok {
-		t.Fatal("u:a not live")
+	snap, matches := liveState(t, r, er.Dirty, []string{"u:a", "u:b", "u:c"})
+	if snap.Len() != 2 || snap.Get(0).URI != "u:a" || snap.Get(1).URI != "u:c" {
+		t.Fatalf("live descriptions = %d, want u:a and u:c", snap.Len())
 	}
-	c, ok := r.Lookup("u:c")
-	if !ok {
-		t.Fatal("u:c not live")
-	}
-	if m := mustMatches(t, r); m.Len() != 1 || !m.Contains(a, c) {
-		t.Fatalf("matches = %v, want {%d,%d}", m.Pairs(), a, c)
+	if matches.Len() != 1 || !matches.Contains(0, 1) {
+		t.Fatalf("matches = %v, want {u:a, u:c}", matches.Pairs())
 	}
 
-	// Differential check through the public snapshot + batch pipeline.
-	snap, matches := mustSnapshot(t, r)
+	// Differential check: a batch pipeline over the survivors.
 	batch := &er.Pipeline{
 		Blocker: &er.TokenBlocking{},
 		Matcher: &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.5},
@@ -73,7 +69,7 @@ func TestFacadeStreamingResolver(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Matches.Len() != matches.Len() {
-		t.Fatalf("batch over snapshot found %d matches, streaming %d", res.Matches.Len(), matches.Len())
+		t.Fatalf("batch over survivors found %d matches, streaming %d", res.Matches.Len(), matches.Len())
 	}
 	res.Matches.Each(func(p er.Pair) bool {
 		if !matches.Contains(p.A, p.B) {
@@ -126,7 +122,8 @@ func TestFacadeStreamingMetaBlocking(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := er.NewStreamingResolver(er.StreamingConfig{
+	ctx := context.Background()
+	r, err := er.Open(ctx, er.Config{
 		Kind:    er.Dirty,
 		Blocker: &er.TokenBlocking{},
 		Matcher: matcher,
@@ -136,7 +133,7 @@ func TestFacadeStreamingMetaBlocking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
+	defer r.Close()
 	for _, d := range c.All() {
 		if _, err := r.Insert(ctx, d); err != nil {
 			t.Fatal(err)
@@ -155,7 +152,13 @@ func TestFacadeStreamingMetaBlocking(t *testing.T) {
 	if st.KeptPairs <= 0 || st.CandidatePairs < st.KeptPairs {
 		t.Fatalf("pruning counters kept=%d candidates=%d", st.KeptPairs, st.CandidatePairs)
 	}
-	if got := mustRestructuredBlocks(t, r); got.Len() != want.Blocks.Len() {
+	// The streaming resolver's restructured blocks are what Streaming mode
+	// reports as its block collection.
+	stream, err := (&er.Pipeline{Blocker: &er.TokenBlocking{}, Meta: meta, Matcher: matcher, Mode: er.StreamingMode}).Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stream.Blocks; got.Len() != want.Blocks.Len() {
 		t.Fatalf("restructured blocks = %d, batch = %d", got.Len(), want.Blocks.Len())
 	}
 	// The incremental statistics core is exported too: batch-accumulated
@@ -168,7 +171,7 @@ func TestFacadeStreamingMetaBlocking(t *testing.T) {
 		t.Fatalf("NewWeightedBlockingGraph not empty")
 	}
 	// A batch-only scheme is rejected with its specific reason.
-	if _, err := er.NewStreamingResolver(er.StreamingConfig{
+	if _, err := er.Open(ctx, er.Config{
 		Kind:    er.Dirty,
 		Blocker: &er.TokenBlocking{},
 		Matcher: matcher,
@@ -179,25 +182,27 @@ func TestFacadeStreamingMetaBlocking(t *testing.T) {
 }
 
 // TestFacadePersistentResolver exercises the durable storage layer through
-// the public API: journal an op stream into a WAL directory, hard-stop
-// without closing, reopen with PersistentResolver, and keep resolving —
-// the recovered state must match an in-memory resolver fed the same ops.
+// the public API: journal an op stream into a WAL directory, close, reopen
+// the directory, and keep resolving — the recovered state must match an
+// in-memory resolver fed the same ops.
 func TestFacadePersistentResolver(t *testing.T) {
 	attrs := func(name string) []er.Attribute {
 		return []er.Attribute{{Name: "name", Value: name}}
 	}
-	cfg := er.StreamingConfig{
+	ctx := context.Background()
+	cfg := er.Config{
 		Kind:    er.Dirty,
 		Blocker: &er.TokenBlocking{},
 		Matcher: &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.5},
 		Durable: er.StreamingDurable{NoSync: true, SnapshotEvery: 3},
 	}
-	dir := t.TempDir()
-	r, err := er.PersistentResolver(dir, cfg)
+	mem, err := er.Open(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := er.NewStreamingResolver(cfg)
+	defer mem.Close()
+	cfg.Dir = t.TempDir()
+	r, err := er.Open(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,12 +214,12 @@ func TestFacadePersistentResolver(t *testing.T) {
 		{Kind: er.StreamInsert, URI: "u:d", Attrs: attrs("dave brown")},
 		{Kind: er.StreamDelete, URI: "u:b"},
 	}
-	ctx := context.Background()
+	all := []string{"u:a", "u:b", "u:c", "u:d", "u:e"}
 	for i, op := range ops {
-		if err := r.Apply(ctx, op); err != nil {
+		if err := r.ApplyBatch(ctx, []er.StreamOp{op}); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
-		if err := mem.Apply(ctx, op); err != nil {
+		if err := mem.ApplyBatch(ctx, []er.StreamOp{op}); err != nil {
 			t.Fatalf("mem op %d: %v", i, err)
 		}
 	}
@@ -223,12 +228,12 @@ func TestFacadePersistentResolver(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := er.PersistentResolver(dir, cfg)
+	got, err := er.Open(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer got.Close()
-	rec := got.Recovery()
+	rec := got.(er.DurableReporter).Recovery()[0]
 	if !rec.Recovered || rec.SnapshotSegment == 0 {
 		t.Fatalf("recovery = %+v, want recovered with a snapshot anchor", rec)
 	}
@@ -239,15 +244,17 @@ func TestFacadePersistentResolver(t *testing.T) {
 	if g, w := mustStats(t, got), mustStats(t, mem); g != w {
 		t.Fatalf("recovered stats %+v, want %+v", g, w)
 	}
-	if g, w := mustMatches(t, got).Len(), mustMatches(t, mem).Len(); g != w {
-		t.Fatalf("recovered %d matches, want %d", g, w)
+	_, gm := liveState(t, got, er.Dirty, all)
+	_, wm := liveState(t, mem, er.Dirty, all)
+	if !sameMatches(gm, wm) {
+		t.Fatalf("recovered matches %v, want %v", gm.Pairs(), wm.Pairs())
 	}
 	// The recovered resolver keeps accepting the stream.
-	more := er.StreamOp{Kind: er.StreamInsert, URI: "u:e", Attrs: attrs("carol jones")}
-	if err := got.Apply(ctx, more); err != nil {
+	more := []er.StreamOp{{Kind: er.StreamInsert, URI: "u:e", Attrs: attrs("carol jones")}}
+	if err := got.ApplyBatch(ctx, more); err != nil {
 		t.Fatal(err)
 	}
-	if err := mem.Apply(ctx, more); err != nil {
+	if err := mem.ApplyBatch(ctx, more); err != nil {
 		t.Fatal(err)
 	}
 	if g, w := mustStats(t, got), mustStats(t, mem); g != w {
@@ -257,27 +264,29 @@ func TestFacadePersistentResolver(t *testing.T) {
 
 // TestFacadeShardedResolver exercises the public sharded surface end to
 // end: the same op stream through a single-node and a sharded resolver,
-// bit-equal state; a durable sharded run with a shard hard-stopped and
-// rejoined; and the Pipeline's StreamShards knob.
+// bit-equal state; a durable sharded run hard-stopped and reopened from
+// its per-shard journals; and the Pipeline's StreamShards knob. Stopping
+// and rejoining one shard of a live deployment is covered by
+// internal/sharded's TestShardCrashRejoin.
 func TestFacadeShardedResolver(t *testing.T) {
 	c, _, err := er.GenerateDirty(er.GenConfig{Seed: 9, Entities: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.5}
-	single, err := er.NewStreamingResolver(er.StreamingConfig{
-		Kind: er.Dirty, Blocker: &er.TokenBlocking{}, Matcher: m, Workers: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := er.NewShardedResolver(er.ShardedConfig{
-		Kind: er.Dirty, Blocker: &er.TokenBlocking{}, Matcher: m, Workers: 2, Shards: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
+	m := &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.5}
+	cfg := er.Config{Kind: er.Dirty, Blocker: &er.TokenBlocking{}, Matcher: m, Workers: 2}
+	single, err := er.Open(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	cfg.Shards = 4
+	sh, err := er.Open(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
 	for _, d := range c.All() {
 		if _, err := single.Insert(ctx, d); err != nil {
 			t.Fatal(err)
@@ -290,40 +299,38 @@ func TestFacadeShardedResolver(t *testing.T) {
 	if ss != hs {
 		t.Fatalf("sharded stats %+v diverge from single-node %+v", hs, ss)
 	}
-	mustMatches(t, single).Each(func(p er.Pair) bool {
-		if !mustMatches(t, sh).Contains(p.A, p.B) {
-			t.Fatalf("sharded state misses match %v", p)
-		}
-		return true
-	})
+	_, sm := liveState(t, single, er.Dirty, uriList(c))
+	_, hm := liveState(t, sh, er.Dirty, uriList(c))
+	if !sameMatches(hm, sm) {
+		t.Fatalf("sharded matches %v diverge from single-node %v", hm.Pairs(), sm.Pairs())
+	}
 
-	// Durable: journal into per-shard WALs, hard-stop a shard, rejoin it.
-	dir := t.TempDir()
-	pr, err := er.PersistentShardedResolver(dir, er.ShardedConfig{
-		Kind: er.Dirty, Blocker: &er.TokenBlocking{}, Matcher: m, Workers: 2, Shards: 3,
-		Durable: er.StreamingDurable{NoSync: true, SnapshotEvery: 16},
-	})
+	// Durable: journal into per-shard WALs, hard-stop, reopen shard by shard.
+	cfg.Shards = 3
+	cfg.Dir = t.TempDir()
+	cfg.Durable = er.StreamingDurable{NoSync: true, SnapshotEvery: 16}
+	pr, err := er.Open(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pr.Close()
 	for _, d := range c.All() {
 		if _, err := pr.Insert(ctx, d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := pr.StopShard(1); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := pr.RejoinShard(1)
+	pr.(er.DurableReporter).Abandon()
+	pr, err = er.Open(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.Recovered {
-		t.Fatal("rejoined shard found no state")
+	defer pr.Close()
+	for i, rec := range pr.(er.DurableReporter).Recovery() {
+		if !rec.Recovered {
+			t.Fatalf("reopened shard %d found no state", i)
+		}
 	}
 	if st := mustStats(t, pr); st != ss {
-		t.Fatalf("durable sharded stats %+v diverge from single-node %+v after rejoin", st, ss)
+		t.Fatalf("durable sharded stats %+v diverge from single-node %+v after reopen", st, ss)
 	}
 
 	// Pipeline knob: StreamShards replays through the sharded resolver.

@@ -16,7 +16,7 @@ import (
 // semantically unrelated attributes ("smith" as a surname vs as a
 // profession), raising precision with minimal recall loss.
 type AttributeClustering struct {
-	// Profiler controls value tokenization; nil means the default profiler.
+	// Profiler controls value tokenization.
 	Profiler *token.Profiler
 	// MinSim is the minimum trigram-set similarity for two attributes to be
 	// linked (default 0.1, the permissive setting of the original method —
@@ -30,9 +30,6 @@ func (a *AttributeClustering) Name() string { return "attrclustering" }
 // Block implements Blocker.
 func (a *AttributeClustering) Block(c *entity.Collection) (*Blocks, error) {
 	p := a.Profiler
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
 	minSim := a.MinSim
 	if minSim <= 0 {
 		minSim = 0.1
@@ -46,7 +43,7 @@ func (a *AttributeClustering) Block(c *entity.Collection) (*Blocks, error) {
 			if !ok {
 				cl = "~" // glue cluster for attributes never profiled
 			}
-			for _, t := range token.TokenizeFiltered(at.Value, p.Stopwords, p.MinTokenLen) {
+			for _, t := range p.ValueTokens(at.Value) {
 				keys = append(keys, cl+"#"+t)
 			}
 		}

@@ -68,7 +68,7 @@ func TestAttributeClusteringCustomProfiler(t *testing.T) {
 		[][]string{{"name", "the alice"}},
 		[][]string{{"label", "the alice"}},
 	)
-	p := &token.Profiler{Scheme: token.SchemaAgnostic, Stopwords: token.DefaultStopwords()}
+	p := &token.Profiler{Stopwords: token.DefaultStopwords()}
 	bs := blockWith(t, &AttributeClustering{Profiler: p}, c)
 	for _, b := range bs.All() {
 		if b.Key == "the" {

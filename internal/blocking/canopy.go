@@ -21,7 +21,7 @@ type Canopy struct {
 	Loose float64
 	// Tight is the retire-from-seeding threshold, ≥ Loose (default 0.5).
 	Tight float64
-	// Profiler controls tokenization; nil means the default profiler.
+	// Profiler controls tokenization.
 	Profiler *token.Profiler
 }
 
@@ -41,9 +41,6 @@ func (cp *Canopy) Block(c *entity.Collection) (*Blocks, error) {
 		return nil, fmt.Errorf("blocking: canopy tight threshold %v < loose %v", tight, loose)
 	}
 	p := cp.Profiler
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
 	ix := index.Build(c, p)
 	// Cache token lists and TF-IDF vectors: canopy evaluates each
 	// description against many seeds.

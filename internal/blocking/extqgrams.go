@@ -26,7 +26,7 @@ type ExtendedQGrams struct {
 	// instead of all combinations, which preserves the key length
 	// guarantee at a bounded cost.
 	MaxCombinations int
-	// Profiler controls tokenization; nil means token.DefaultProfiler.
+	// Profiler controls tokenization.
 	Profiler *token.Profiler
 }
 
@@ -36,9 +36,6 @@ func (e *ExtendedQGrams) Name() string { return "extqgrams" }
 // Block implements Blocker.
 func (e *ExtendedQGrams) Block(c *entity.Collection) (*Blocks, error) {
 	p := e.Profiler
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
 	q := e.Q
 	if q < 2 {
 		q = 3

@@ -62,9 +62,6 @@ func AttributeValueKey(attrs ...string) ScalarKeyFunc {
 // the description, deduplicated and sorted, joined by spaces. Descriptions
 // about the same entity sort near each other regardless of schema.
 func SortedTokensKey(p *token.Profiler) ScalarKeyFunc {
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
 	return func(d *entity.Description) string {
 		ts := p.Set(d).Sorted()
 		return strings.Join(ts, " ")
@@ -74,9 +71,6 @@ func SortedTokensKey(p *token.Profiler) ScalarKeyFunc {
 // FirstTokenKey is a cheap ScalarKeyFunc: the alphabetically smallest value
 // token. Useful as a second sorted-neighborhood pass.
 func FirstTokenKey(p *token.Profiler) ScalarKeyFunc {
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
 	return func(d *entity.Description) string {
 		ts := p.Set(d).Sorted()
 		if len(ts) == 0 {

@@ -15,7 +15,7 @@ import (
 // value tokens, so sparsely described periphery entities whose URIs embed
 // their label are still blocked together.
 type PrefixInfixSuffix struct {
-	// Profiler controls value tokenization; nil means the default profiler.
+	// Profiler controls value tokenization.
 	Profiler *token.Profiler
 }
 
@@ -27,9 +27,6 @@ func (ps *PrefixInfixSuffix) Name() string { return "prefixinfixsuffix" }
 // KeyFunc is a pure per-description function safe for concurrent shards.
 func (ps *PrefixInfixSuffix) Keyer(c *entity.Collection) KeyFunc {
 	p := ps.Profiler
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
 	prefixes := commonURIPrefixes(c)
 	return func(d *entity.Description) []string {
 		keys := p.Tokens(d)
@@ -38,7 +35,7 @@ func (ps *PrefixInfixSuffix) Keyer(c *entity.Collection) KeyFunc {
 			if norm := strings.Join(token.Tokenize(infix), " "); norm != "" {
 				keys = append(keys, "uri:"+norm)
 			}
-			keys = append(keys, token.TokenizeFiltered(infix, p.Stopwords, p.MinTokenLen)...)
+			keys = append(keys, p.ValueTokens(infix)...)
 		}
 		return keys
 	}

@@ -12,7 +12,7 @@ import (
 // nothing about schemas — at the cost of many redundant and superfluous
 // comparisons, which block post-processing and meta-blocking then remove.
 type TokenBlocking struct {
-	// Profiler controls tokenization; nil means token.DefaultProfiler.
+	// Profiler controls tokenization.
 	Profiler *token.Profiler
 }
 
@@ -21,11 +21,7 @@ func (t *TokenBlocking) Name() string { return "token" }
 
 // Keyer implements KeyedBlocker.
 func (t *TokenBlocking) Keyer(*entity.Collection) KeyFunc {
-	p := t.Profiler
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
-	return p.Tokens
+	return t.Profiler.Tokens
 }
 
 // Block implements Blocker.
@@ -66,8 +62,7 @@ func (s *StandardBlocking) Block(c *entity.Collection) (*Blocks, error) {
 type QGramsBlocking struct {
 	// Q is the gram length; values < 2 default to 3.
 	Q int
-	// Profiler controls the underlying token extraction; nil means
-	// token.DefaultProfiler.
+	// Profiler controls the underlying token extraction.
 	Profiler *token.Profiler
 }
 
@@ -77,9 +72,6 @@ func (q *QGramsBlocking) Name() string { return "qgrams" }
 // Keyer implements KeyedBlocker.
 func (q *QGramsBlocking) Keyer(*entity.Collection) KeyFunc {
 	p := q.Profiler
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
 	size := q.Q
 	if size < 2 {
 		size = 3
@@ -108,7 +100,7 @@ type SuffixArrayBlocking struct {
 	MinLen int
 	// MaxBlockSize drops blocks larger than this (default 50).
 	MaxBlockSize int
-	// Profiler controls tokenization; nil means token.DefaultProfiler.
+	// Profiler controls tokenization.
 	Profiler *token.Profiler
 }
 
@@ -118,9 +110,6 @@ func (s *SuffixArrayBlocking) Name() string { return "suffix" }
 // Keyer implements KeyedBlocker.
 func (s *SuffixArrayBlocking) Keyer(*entity.Collection) KeyFunc {
 	p := s.Profiler
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
 	minLen := s.MinLen
 	if minLen <= 0 {
 		minLen = 4

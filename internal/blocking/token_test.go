@@ -46,7 +46,7 @@ func TestTokenBlockingCleanClean(t *testing.T) {
 // Property: under a stopword-free profiler, two descriptions share a block
 // iff their token sets intersect.
 func TestTokenBlockingSharedTokenProperty(t *testing.T) {
-	prof := &token.Profiler{Scheme: token.SchemaAgnostic}
+	prof := &token.Profiler{}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		vocab := []string{"alpha", "beta", "gamma", "delta", "eps"}

@@ -200,66 +200,66 @@ func (p *Pipeline) Validate() error {
 	return nil
 }
 
-// StreamingSetup builds the incremental resolver for a Streaming-mode
-// pipeline over a collection of the given kind — durable (crash-recovered
+// StreamResolver is the method set the single-node and the sharded
+// streaming resolvers share — all a streaming-mode replay needs.
+type StreamResolver interface {
+	Insert(ctx context.Context, d *entity.Description) (entity.ID, error)
+	Flush(ctx context.Context) error
+	RestructuredBlocks() (*blocking.Blocks, error)
+	Blocks() *blocking.Blocks
+	Matches() (*entity.Matches, error)
+	Stats() (incremental.Stats, error)
+	Close() error
+}
+
+// StreamingSetup builds the streaming resolver for a Streaming-mode
+// pipeline over a collection of the given kind: the sharded resolver when
+// StreamShards > 1, the single-node one otherwise; durable (crash-recovered
 // from StreamDir) when the pipeline sets one, in-memory otherwise. Shared
 // by the sequential runner and the concurrent engine so both construct
 // identical resolvers (the engine passes its worker count; the match output
 // is worker-independent).
-func (p *Pipeline) StreamingSetup(kind entity.Kind, workers int) (*incremental.Resolver, error) {
+func (p *Pipeline) StreamingSetup(kind entity.Kind, workers int) (StreamResolver, error) {
 	sb, ok := p.Blocker.(blocking.StreamableBlocker)
 	if !ok {
 		return nil, fmt.Errorf("core: streaming mode requires a blocking.StreamableBlocker")
+	}
+	if p.StreamShards > 1 {
+		cfg := sharded.Config{
+			Kind: kind, Blocker: sb, Matcher: p.Matcher, Workers: workers,
+			Meta: p.Meta, Shards: p.StreamShards, Durable: p.StreamDurable,
+		}
+		if p.StreamDir != "" {
+			return nonNil(sharded.Open(p.StreamDir, cfg))
+		}
+		return nonNil(sharded.New(cfg))
 	}
 	cfg := incremental.Config{
-		Kind:    kind,
-		Blocker: sb,
-		Matcher: p.Matcher,
-		Workers: workers,
-		Meta:    p.Meta,
-		Durable: p.StreamDurable,
+		Kind: kind, Blocker: sb, Matcher: p.Matcher, Workers: workers,
+		Meta: p.Meta, Durable: p.StreamDurable,
 	}
 	if p.StreamDir != "" {
-		return incremental.OpenResolver(p.StreamDir, cfg)
+		return nonNil(incremental.OpenResolver(p.StreamDir, cfg))
 	}
-	return incremental.New(cfg)
+	return nonNil(incremental.New(cfg))
 }
 
-// ShardedSetup builds the sharded streaming resolver for a Streaming-mode
-// pipeline with StreamShards > 1 — per-shard durable under StreamDir when
-// the pipeline sets one, in-memory otherwise.
-func (p *Pipeline) ShardedSetup(kind entity.Kind, workers int) (*sharded.Resolver, error) {
-	sb, ok := p.Blocker.(blocking.StreamableBlocker)
-	if !ok {
-		return nil, fmt.Errorf("core: streaming mode requires a blocking.StreamableBlocker")
+// nonNil keeps a failed constructor's nil pointer out of the interface.
+func nonNil[R StreamResolver](r R, err error) (StreamResolver, error) {
+	if err != nil {
+		return nil, err
 	}
-	cfg := sharded.Config{
-		Kind:    kind,
-		Blocker: sb,
-		Matcher: p.Matcher,
-		Workers: workers,
-		Meta:    p.Meta,
-		Shards:  p.StreamShards,
-		Durable: p.StreamDurable,
-	}
-	if p.StreamDir != "" {
-		return sharded.Open(p.StreamDir, cfg)
-	}
-	return sharded.New(cfg)
+	return r, nil
 }
 
-// ReplayStreaming replays c through a fresh incremental resolver built
-// from the pipeline configuration and shapes the outcome as a batch
-// result (matches, comparison count, block collection). It is the single
-// streaming-mode execution path, shared by the sequential runner (one
-// worker, background context) and the concurrent engine (its worker pool
-// and cancellable context) so the two cannot drift apart. With
-// StreamShards > 1 the replay runs through the sharded resolver instead —
-// the results are bit-exact either way.
+// ReplayStreaming replays c through a fresh streaming resolver built from
+// the pipeline configuration (see StreamingSetup) and shapes the outcome
+// as a batch result (matches, comparison count, block collection). It is
+// the single streaming-mode execution path, shared by the sequential
+// runner (one worker, background context) and the concurrent engine (its
+// worker pool and cancellable context) so the two cannot drift apart. The
+// results are bit-exact for every StreamShards value.
 func (p *Pipeline) ReplayStreaming(ctx context.Context, res *Result, c *entity.Collection, workers int) error {
-	if p.StreamShards > 1 {
-		return p.replayStreamingSharded(ctx, res, c, workers)
-	}
 	r, err := p.StreamingSetup(c.Kind(), workers)
 	if err != nil {
 		return err
@@ -277,44 +277,6 @@ func (p *Pipeline) ReplayStreaming(ctx context.Context, res *Result, c *entity.C
 		// Settle the deferred weighting/pruning under the caller's context,
 		// and report the pruned pair blocks — the collection batch
 		// meta-blocking would hand its matcher.
-		if err := r.Flush(ctx); err != nil {
-			return err
-		}
-		blocks, err := r.RestructuredBlocks()
-		if err != nil {
-			return err
-		}
-		res.Blocks = blocks
-	} else {
-		res.Blocks = r.Blocks()
-	}
-	matches, err := r.Matches()
-	if err != nil {
-		return err
-	}
-	res.Matches = matches
-	st, err := r.Stats()
-	if err != nil {
-		return err
-	}
-	res.Comparisons = st.Comparisons
-	return r.Close()
-}
-
-// replayStreamingSharded is ReplayStreaming over the sharded resolver; the
-// extraction sequence mirrors the single-node path exactly.
-func (p *Pipeline) replayStreamingSharded(ctx context.Context, res *Result, c *entity.Collection, workers int) error {
-	r, err := p.ShardedSetup(c.Kind(), workers)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	for _, d := range c.All() {
-		if _, err := r.Insert(ctx, d); err != nil {
-			return err
-		}
-	}
-	if p.Meta != nil {
 		if err := r.Flush(ctx); err != nil {
 			return err
 		}

@@ -132,7 +132,7 @@ func TestPipelineCollective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := &token.Profiler{Scheme: token.SchemaAgnostic, Stopwords: token.DefaultStopwords(), SkipRefValues: true}
+	prof := &token.Profiler{Stopwords: token.DefaultStopwords(), SkipRefValues: true}
 	p := &Pipeline{
 		Blocker: &blocking.TokenBlocking{},
 		Mode:    Collective,

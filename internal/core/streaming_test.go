@@ -13,6 +13,7 @@ import (
 	"entityres/internal/incremental"
 	"entityres/internal/matching"
 	"entityres/internal/metablocking"
+	"entityres/internal/sharded"
 )
 
 // TestPipelineStreamingEqualsBatch is the mode-level differential contract:
@@ -377,11 +378,15 @@ func TestPipelineStreamShardsDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.ShardedSetup(c.Kind(), 1)
+	sr, err := p.StreamingSetup(c.Kind(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
+	defer sr.Close()
+	r, ok := sr.(*sharded.Resolver)
+	if !ok {
+		t.Fatalf("StreamShards=3 built a %T, want the sharded resolver", sr)
+	}
 	if !r.Recovered() {
 		t.Fatal("StreamDir left no recoverable sharded state")
 	}

@@ -59,7 +59,6 @@ func newResult(t *evaluation.Table) *Result {
 // reference values are relational evidence, not text.
 func refProfiler() *token.Profiler {
 	return &token.Profiler{
-		Scheme:        token.SchemaAgnostic,
 		Stopwords:     token.DefaultStopwords(),
 		SkipRefValues: true,
 	}

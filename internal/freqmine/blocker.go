@@ -16,7 +16,7 @@ type Blocking struct {
 	// MinSupport is the minimum support for an itemset to form a block
 	// (default 2).
 	MinSupport int
-	// Profiler controls tokenization; nil means token.DefaultProfiler.
+	// Profiler controls tokenization.
 	Profiler *token.Profiler
 }
 
@@ -30,9 +30,6 @@ func (fb *Blocking) Block(c *entity.Collection) (*blocking.Blocks, error) {
 		k = 2
 	}
 	p := fb.Profiler
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
 	sets := make([]token.Set, c.Len())
 	txs := make([][]string, c.Len())
 	for _, d := range c.All() {

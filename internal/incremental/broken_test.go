@@ -96,7 +96,7 @@ func TestBrokenJournalPoisonsReadsAndRecovers(t *testing.T) {
 	if err := r.Update(ctx, 0, person("u:a", "alice smith", "berlin").Attrs); !errors.Is(err, ErrBroken) {
 		t.Fatalf("Update = %v, want ErrBroken", err)
 	}
-	if err := r.Delete(0); !errors.Is(err, ErrBroken) {
+	if err := r.Delete(ctx, 0); !errors.Is(err, ErrBroken) {
 		t.Fatalf("Delete = %v, want ErrBroken", err)
 	}
 	// Non-reconciling reads keep serving the in-memory picture.

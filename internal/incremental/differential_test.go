@@ -192,7 +192,7 @@ func runDifferential(t *testing.T, dc diffConfig) {
 		default:
 			pos := rng.Intn(len(liveList))
 			pi := liveList[pos]
-			if err := r.Delete(liveIdx[pi]); err != nil {
+			if err := r.Delete(ctx, liveIdx[pi]); err != nil {
 				t.Fatalf("op %d: delete: %v", applied, err)
 			}
 			delete(liveIdx, pi)

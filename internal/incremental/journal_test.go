@@ -75,10 +75,10 @@ func TestOpenResolverFreshThenReopen(t *testing.T) {
 	if err := mem.Update(ctx, 2, []entity.Attribute{{Name: "name", Value: "alice smith"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Delete(3); err != nil {
+	if err := r.Delete(ctx, 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := mem.Delete(3); err != nil {
+	if err := mem.Delete(ctx, 3); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Close(); err != nil {
@@ -313,7 +313,7 @@ func TestClosedResolverRejectsMutationKeepsReads(t *testing.T) {
 	if err := r.Update(ctx, 0, nil); err == nil {
 		t.Fatal("update after Close succeeded")
 	}
-	if err := r.Delete(0); err == nil {
+	if err := r.Delete(ctx, 0); err == nil {
 		t.Fatal("delete after Close succeeded")
 	}
 	if err := r.Compact(); err == nil {
@@ -347,7 +347,7 @@ func TestValidationFailuresAreNotJournaled(t *testing.T) {
 	if err := r.Update(ctx, 99, nil); err == nil {
 		t.Fatal("update of unknown handle accepted")
 	}
-	if err := r.Delete(99); err == nil {
+	if err := r.Delete(ctx, 99); err == nil {
 		t.Fatal("delete of unknown handle accepted")
 	}
 	// Source validation happens post-journal and rolls back.
@@ -397,10 +397,10 @@ func TestRecoveryWithLiveMetaBlocking(t *testing.T) {
 	if g, w := renderState(mustMatches(t, r)), renderState(mustMatches(t, mem)); g != w {
 		t.Fatalf("pre-crash meta state diverges\ngot  %s\nwant %s", g, w)
 	}
-	if err := r.Delete(1); err != nil {
+	if err := r.Delete(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := mem.Delete(1); err != nil {
+	if err := mem.Delete(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Hard stop: no Close, deferred meta work pending (metaDirty).

@@ -108,7 +108,7 @@ func TestMetaDeferredReads(t *testing.T) {
 	// from-scratch batch run (checked exhaustively by the differential
 	// suite; here: clusters readable and consistent with matches).
 	for _, id := range ids[:len(ids)/2] {
-		if err := r.Delete(id); err != nil {
+		if err := r.Delete(ctx, id); err != nil {
 			t.Fatal(err)
 		}
 	}

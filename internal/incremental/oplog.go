@@ -82,7 +82,7 @@ func (r *Resolver) Apply(ctx context.Context, op Op) error {
 		if !ok {
 			return fmt.Errorf("incremental: delete of unknown URI %q", op.URI)
 		}
-		return r.Delete(id)
+		return r.Delete(ctx, id)
 	default:
 		return fmt.Errorf("incremental: unknown op kind %v", op.Kind)
 	}

@@ -375,12 +375,17 @@ func (r *Resolver) applyUpdate(ctx context.Context, id entity.ID, attrs []entity
 
 // Delete removes the live description with the given handle: its blocks
 // shed the member, its match edges disappear, and its cluster is split by
-// targeted recomputation. No comparisons are executed.
-func (r *Resolver) Delete(id entity.ID) error {
+// targeted recomputation. No comparisons are executed, so the context
+// gates admission only: a done context fails the delete before anything
+// is journaled.
+func (r *Resolver) Delete(ctx context.Context, id entity.ID) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.broken != nil {
 		return r.broken
+	}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	if !r.isLive(id) {
 		return fmt.Errorf("incremental: delete of unknown description %d", id)

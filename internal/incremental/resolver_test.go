@@ -90,7 +90,7 @@ func TestResolverDeleteSplitsCluster(t *testing.T) {
 	if !mustMatches(t, r).Contains(a, b) || !mustMatches(t, r).Contains(b, c) {
 		t.Fatalf("expected bridge matches, got %v", mustMatches(t, r).Pairs())
 	}
-	if err := r.Delete(b); err != nil {
+	if err := r.Delete(ctx, b); err != nil {
 		t.Fatal(err)
 	}
 	m := mustMatches(t, r)
@@ -163,7 +163,7 @@ func TestResolverErrors(t *testing.T) {
 	if err := r.Update(ctx, 99, nil); err == nil {
 		t.Fatal("update of unknown handle accepted")
 	}
-	if err := r.Delete(99); err == nil {
+	if err := r.Delete(ctx, 99); err == nil {
 		t.Fatal("delete of unknown handle accepted")
 	}
 	d := &entity.Description{ID: -1, Source: 1, URI: "u:s1"}

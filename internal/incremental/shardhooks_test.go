@@ -140,7 +140,7 @@ func TestCoordinatorAccessors(t *testing.T) {
 	if len(edges) != 1 || edges[0].A != a || edges[0].B != b {
 		t.Fatalf("MatchEdges = %v", edges)
 	}
-	if err := r.Delete(c); err != nil {
+	if err := r.Delete(ctx, c); err != nil {
 		t.Fatal(err)
 	}
 	var seen []entity.ID
@@ -229,7 +229,7 @@ func TestLastRecord(t *testing.T) {
 	if !ok || rec.Kind != incremental.OpInsert || rec.ID != id || rec.URI != "u:a" {
 		t.Fatalf("LastRecord after insert = %+v, %v", rec, ok)
 	}
-	if err := r.Delete(id); err != nil {
+	if err := r.Delete(ctx, id); err != nil {
 		t.Fatal(err)
 	}
 	if rec, _ := r.LastRecord(); rec.Kind != incremental.OpDelete || rec.ID != id {

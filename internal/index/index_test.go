@@ -16,7 +16,7 @@ func buildSample(t *testing.T) (*entity.Collection, *Inverted) {
 	c.MustAdd(entity.NewDescription("").Add("name", "alice smith"))
 	c.MustAdd(entity.NewDescription("").Add("name", "bob smith"))
 	c.MustAdd(entity.NewDescription("").Add("name", "carol jones"))
-	p := &token.Profiler{Scheme: token.SchemaAgnostic}
+	p := &token.Profiler{}
 	return c, Build(c, p)
 }
 

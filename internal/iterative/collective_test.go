@@ -42,7 +42,6 @@ func TestCollectiveResolvesViaRelations(t *testing.T) {
 	// Reference values are relational evidence, not text: skip them in the
 	// attribute similarity.
 	prof := &token.Profiler{
-		Scheme:        token.SchemaAgnostic,
 		Stopwords:     token.DefaultStopwords(),
 		SkipRefValues: true,
 	}
@@ -92,7 +91,6 @@ func TestCollectiveOnBibliographic(t *testing.T) {
 	}
 	candidates := bs.DistinctPairs().Pairs()
 	prof := &token.Profiler{
-		Scheme:        token.SchemaAgnostic,
 		Stopwords:     token.DefaultStopwords(),
 		SkipRefValues: true,
 	}

@@ -19,9 +19,6 @@ import (
 // in-process counterpart the pipeline engine uses (shared-memory shard
 // merge instead of shuffle, generalized over every KeyedBlocker).
 func ParallelTokenBlocking(c *entity.Collection, p *token.Profiler, workers int) (*blocking.Blocks, error) {
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
 	type member struct {
 		id     entity.ID
 		source int

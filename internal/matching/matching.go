@@ -30,7 +30,7 @@ type ProfileSimilarity interface {
 // descriptions' token sets — robust to schema heterogeneity, blind to
 // token importance.
 type TokenJaccard struct {
-	// Profiler controls tokenization; nil means token.DefaultProfiler.
+	// Profiler controls tokenization.
 	Profiler *token.Profiler
 }
 
@@ -39,11 +39,7 @@ func (t *TokenJaccard) Name() string { return "token-jaccard" }
 
 // Sim implements ProfileSimilarity.
 func (t *TokenJaccard) Sim(a, b *entity.Description) float64 {
-	p := t.Profiler
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
-	return similarity.Jaccard(p.Set(a), p.Set(b))
+	return similarity.Jaccard(t.Profiler.Set(a), t.Profiler.Set(b))
 }
 
 // TokenContainment is the overlap coefficient |A∩B| / min(|A|,|B|) of the
@@ -53,7 +49,7 @@ func (t *TokenJaccard) Sim(a, b *entity.Description) float64 {
 // profile that absorbs new tokens never loses containment against the
 // still-unmerged duplicates whose token sets it covers.
 type TokenContainment struct {
-	// Profiler controls tokenization; nil means token.DefaultProfiler.
+	// Profiler controls tokenization.
 	Profiler *token.Profiler
 }
 
@@ -62,11 +58,7 @@ func (t *TokenContainment) Name() string { return "token-containment" }
 
 // Sim implements ProfileSimilarity.
 func (t *TokenContainment) Sim(a, b *entity.Description) float64 {
-	p := t.Profiler
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
-	return similarity.Overlap(p.Set(a), p.Set(b))
+	return similarity.Overlap(t.Profiler.Set(a), t.Profiler.Set(b))
 }
 
 // TFIDFCosine is the cosine similarity of TF-IDF weighted token vectors
@@ -83,9 +75,6 @@ type TFIDFCosine struct {
 
 // NewTFIDFCosine indexes the collection and returns the measure.
 func NewTFIDFCosine(c *entity.Collection, p *token.Profiler) *TFIDFCosine {
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
 	return &TFIDFCosine{
 		ix:    index.Build(c, p),
 		prof:  p,

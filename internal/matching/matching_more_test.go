@@ -25,12 +25,15 @@ func TestTokenContainmentMergeFriendly(t *testing.T) {
 }
 
 func TestTokenContainmentCustomProfiler(t *testing.T) {
-	prof := &token.Profiler{Scheme: token.SchemaAware}
-	tc := &TokenContainment{Profiler: prof}
-	a := entity.NewDescription("").Add("x", "smith")
-	b := entity.NewDescription("").Add("y", "smith")
-	if got := tc.Sim(a, b); got != 0 {
-		t.Fatalf("schema-aware containment across attrs = %v", got)
+	// A stopword-free profiler keeps "the", which the default drops.
+	tc := &TokenContainment{Profiler: &token.Profiler{}}
+	a := entity.NewDescription("").Add("x", "the smith")
+	b := entity.NewDescription("").Add("y", "the jones")
+	if got := tc.Sim(a, b); got != 0.5 {
+		t.Fatalf("stopword-free containment = %v, want 0.5", got)
+	}
+	if got := (&TokenContainment{}).Sim(a, b); got != 0 {
+		t.Fatalf("default containment = %v, want 0", got)
 	}
 }
 
@@ -60,7 +63,7 @@ func TestTFIDFCosineSkipRefProfiler(t *testing.T) {
 	c := entity.NewCollection(entity.Dirty)
 	c.MustAdd(entity.NewDescription("").Add("n", "alpha").Add("r", "http://x/1"))
 	c.MustAdd(entity.NewDescription("").Add("n", "alpha").Add("r", "http://x/2"))
-	prof := &token.Profiler{Scheme: token.SchemaAgnostic, SkipRefValues: true}
+	prof := &token.Profiler{SkipRefValues: true}
 	tc := NewTFIDFCosine(c, prof)
 	if got := tc.Sim(c.Get(0), c.Get(1)); got != 1 {
 		t.Fatalf("ref-skipping cosine = %v, want 1 (URIs ignored)", got)

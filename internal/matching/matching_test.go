@@ -6,6 +6,7 @@ import (
 
 	"entityres/internal/blocking"
 	"entityres/internal/entity"
+	"entityres/internal/token"
 )
 
 func twoPeople(t *testing.T) (*entity.Collection, *entity.Description, *entity.Description) {
@@ -27,6 +28,20 @@ func TestTokenJaccard(t *testing.T) {
 	}
 	if tj.Name() == "" {
 		t.Fatal("name")
+	}
+}
+
+// TestTokenJaccardDefaultAllocs: the nil-profiler path allocates exactly
+// what an explicit default profiler does — the default is shared, not
+// rebuilt per compared pair.
+func TestTokenJaccardDefaultAllocs(t *testing.T) {
+	_, a, b := twoPeople(t)
+	implicit := &TokenJaccard{}
+	explicit := &TokenJaccard{Profiler: token.DefaultProfiler()}
+	got := testing.AllocsPerRun(100, func() { implicit.Sim(a, b) })
+	want := testing.AllocsPerRun(100, func() { explicit.Sim(a, b) })
+	if got != want {
+		t.Fatalf("nil-profiler Sim allocates %v per call, explicit default %v", got, want)
 	}
 }
 

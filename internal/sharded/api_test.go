@@ -99,7 +99,7 @@ func TestShardedReadSurface(t *testing.T) {
 	if err := r.Update(ctx, 99, nil); err == nil {
 		t.Fatal("update of unknown handle accepted")
 	}
-	if err := r.Delete(99); err == nil {
+	if err := r.Delete(ctx, 99); err == nil {
 		t.Fatal("delete of unknown handle accepted")
 	}
 	if _, err := r.Insert(ctx, nil); err == nil {

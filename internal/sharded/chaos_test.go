@@ -492,7 +492,7 @@ func TestShardedCrashOnCompactionBoundary(t *testing.T) {
 	if rec := ahead.Recovery(); rec.ReplayedRecords != 0 {
 		t.Fatalf("shard tail not empty at the boundary: %d records", rec.ReplayedRecords)
 	}
-	if err := ahead.Delete(2); err != nil {
+	if err := ahead.Delete(ctx, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := ahead.Close(); err != nil {
@@ -507,7 +507,7 @@ func TestShardedCrashOnCompactionBoundary(t *testing.T) {
 	if re.RolledForward() != 2 {
 		t.Fatalf("rolled %d shards forward, want 2", re.RolledForward())
 	}
-	if err := single.Delete(2); err != nil {
+	if err := single.Delete(ctx, 2); err != nil {
 		t.Fatal(err)
 	}
 	assertShardedEqualsSingle(t, re, single, false, 4)

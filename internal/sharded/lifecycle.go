@@ -230,7 +230,7 @@ func (r *Resolver) applyRecordTo(sr *incremental.Resolver, rec incremental.Recor
 	case incremental.OpUpdate:
 		return sr.Update(fanoutCtx, rec.ID, rec.Attrs)
 	case incremental.OpDelete:
-		return sr.Delete(rec.ID)
+		return sr.Delete(fanoutCtx, rec.ID)
 	case incremental.OpBatch:
 		// The behind shard replans the donated batch against its own replica
 		// (a private copy — planning writes handles back) and journals it as

@@ -575,18 +575,22 @@ func (r *Resolver) Update(ctx context.Context, id entity.ID, attrs []entity.Attr
 }
 
 // Delete removes the live description with the given handle from every
-// shard; its match edges disappear and its cluster is split.
-func (r *Resolver) Delete(id entity.ID) error {
+// shard; its match edges disappear and its cluster is split. Like Insert,
+// the context gates admission only.
+func (r *Resolver) Delete(ctx context.Context, id entity.ID) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := r.ready(); err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
 		return err
 	}
 	if !r.isLive(id) {
 		return fmt.Errorf("sharded: delete of unknown description %d", id)
 	}
 	if _, err := r.fanout(func(sr *incremental.Resolver) error {
-		return sr.Delete(id)
+		return sr.Delete(fanoutCtx, id)
 	}); err != nil {
 		return err
 	}
@@ -671,7 +675,7 @@ func (r *Resolver) Apply(ctx context.Context, op incremental.Op) error {
 		if !ok {
 			return fmt.Errorf("sharded: delete of unknown URI %q", op.URI)
 		}
-		return r.Delete(id)
+		return r.Delete(ctx, id)
 	default:
 		return fmt.Errorf("sharded: unknown op kind %v", op.Kind)
 	}

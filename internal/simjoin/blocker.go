@@ -18,7 +18,7 @@ type Blocking struct {
 	Threshold float64
 	// Positional enables the PPJoin positional filter.
 	Positional bool
-	// Profiler controls tokenization; nil means token.DefaultProfiler.
+	// Profiler controls tokenization.
 	Profiler *token.Profiler
 }
 
@@ -32,9 +32,6 @@ func (sb *Blocking) Block(c *entity.Collection) (*blocking.Blocks, error) {
 		th = 0.3
 	}
 	p := sb.Profiler
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
 	inputs := make([]Input, 0, c.Len())
 	for _, d := range c.All() {
 		inputs = append(inputs, Input{ID: d.ID, Source: d.Source, Tokens: p.Tokens(d)})

@@ -6,38 +6,28 @@ import (
 	"entityres/internal/entity"
 )
 
-// Scheme selects how description text is turned into blocking tokens.
-type Scheme int
-
-const (
-	// SchemaAgnostic extracts tokens from every attribute value,
-	// discarding attribute names — the robust choice for the Web of data,
-	// where matching descriptions rarely agree on schema.
-	SchemaAgnostic Scheme = iota
-	// SchemaAware extracts attribute-qualified tokens (name#token), so
-	// tokens only collide within the same attribute.
-	SchemaAware
-)
-
-// Profiler converts descriptions to token sets under a fixed configuration,
-// caching nothing: profiling is cheap relative to the downstream quadratic
-// work and callers that need caching layer it themselves (see package
-// index).
+// Profiler converts descriptions to schema-agnostic token lists: tokens
+// from every attribute value, attribute names discarded — the robust
+// choice for the Web of data, where matching descriptions rarely agree on
+// schema. Profiling caches nothing: it is cheap relative to the downstream
+// quadratic work and callers that need caching layer it themselves (see
+// package index).
+//
+// A nil *Profiler is the default profiler (DefaultStopwords, reference
+// values kept); every method accepts it. A non-nil Profiler uses its
+// fields as set, so &Profiler{} drops no stopwords.
 type Profiler struct {
-	Scheme    Scheme
 	Stopwords Stopwords
-	// MinTokenLen drops tokens shorter than this (0 or 1 keeps all).
-	MinTokenLen int
-	// IncludeURITokens, when set, also extracts tokens from the local part
-	// of the description URI, the signal exploited by prefix-infix-suffix
-	// blocking for sparsely described periphery entities.
-	IncludeURITokens bool
 	// SkipRefValues, when set, ignores attribute values that look like
 	// URIs (http://, https://, urn:). Reference values carry relational
 	// evidence, consumed by relationship-based resolution — feeding them
 	// to textual similarity conflates the two kinds of signal.
 	SkipRefValues bool
 }
+
+// defaultProfiler is what a nil *Profiler reads. It shares the immutable
+// default stopword set, so no caller rebuilds it.
+var defaultProfiler = Profiler{Stopwords: defaultStopwords}
 
 // IsRefValue reports whether a value looks like an entity reference.
 func IsRefValue(v string) bool {
@@ -46,47 +36,43 @@ func IsRefValue(v string) bool {
 		strings.HasPrefix(v, "urn:")
 }
 
-// DefaultProfiler returns the schema-agnostic profiler with default
-// stopwords used by the paper's token-blocking family.
+// DefaultProfiler returns a copy of the default profiler used by the
+// paper's token-blocking family. The copy shares the default stopword
+// set, which must not be modified.
 func DefaultProfiler() *Profiler {
-	return &Profiler{Scheme: SchemaAgnostic, Stopwords: DefaultStopwords()}
+	p := defaultProfiler
+	return &p
 }
 
-// Tokens returns the token list of d under the profiler's scheme, with
-// duplicates preserved (multiplicity matters for TF weighting).
+// orDefault resolves a nil receiver to the default profiler.
+func (p *Profiler) orDefault() *Profiler {
+	if p == nil {
+		return &defaultProfiler
+	}
+	return p
+}
+
+// ValueTokens returns the tokens of one attribute value (or any text)
+// under the profiler's stopwords.
+func (p *Profiler) ValueTokens(v string) []string {
+	return TokenizeFiltered(v, p.orDefault().Stopwords, 0)
+}
+
+// Tokens returns the token list of d, with duplicates preserved
+// (multiplicity matters for TF weighting).
 func (p *Profiler) Tokens(d *entity.Description) []string {
+	p = p.orDefault()
 	var out []string
 	for _, a := range d.Attrs {
 		if p.SkipRefValues && IsRefValue(a.Value) {
 			continue
 		}
-		ts := TokenizeFiltered(a.Value, p.Stopwords, p.MinTokenLen)
-		if p.Scheme == SchemaAware {
-			ts = Qualified(a.Name, ts)
-		}
-		out = append(out, ts...)
-	}
-	if p.IncludeURITokens && d.URI != "" {
-		out = append(out, URITokens(d.URI, p.Stopwords, p.MinTokenLen)...)
+		out = append(out, p.ValueTokens(a.Value)...)
 	}
 	return out
 }
 
-// Set returns the distinct tokens of d under the profiler's scheme.
+// Set returns the distinct tokens of d.
 func (p *Profiler) Set(d *entity.Description) Set {
 	return NewSet(p.Tokens(d)...)
-}
-
-// URITokens extracts tokens from the local name of a URI (the part after
-// the last '/' or '#'), which frequently encodes the entity label in LOD
-// datasets.
-func URITokens(uri string, stop Stopwords, minLen int) []string {
-	local := uri
-	for i := len(uri) - 1; i >= 0; i-- {
-		if uri[i] == '/' || uri[i] == '#' {
-			local = uri[i+1:]
-			break
-		}
-	}
-	return TokenizeFiltered(local, stop, minLen)
 }

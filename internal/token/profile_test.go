@@ -9,7 +9,7 @@ import (
 
 func TestProfilerSchemaAgnostic(t *testing.T) {
 	d := entity.NewDescription("").Add("name", "Alice Smith").Add("job", "Smith Forge")
-	p := &Profiler{Scheme: SchemaAgnostic}
+	p := &Profiler{}
 	got := p.Tokens(d)
 	want := []string{"alice", "smith", "smith", "forge"}
 	if !reflect.DeepEqual(got, want) {
@@ -21,52 +21,43 @@ func TestProfilerSchemaAgnostic(t *testing.T) {
 	}
 }
 
-func TestProfilerSchemaAware(t *testing.T) {
-	d := entity.NewDescription("").Add("name", "smith").Add("city", "smith")
-	p := &Profiler{Scheme: SchemaAware}
-	set := p.Set(d)
-	if !set.Contains("name#smith") || !set.Contains("city#smith") || set.Len() != 2 {
-		t.Fatalf("schema-aware set = %v", set)
-	}
-}
-
-func TestProfilerStopwordsAndMinLen(t *testing.T) {
+func TestProfilerStopwords(t *testing.T) {
 	d := entity.NewDescription("").Add("t", "the of ab abc")
-	p := &Profiler{Scheme: SchemaAgnostic, Stopwords: DefaultStopwords(), MinTokenLen: 3}
+	p := &Profiler{Stopwords: DefaultStopwords()}
 	got := p.Tokens(d)
-	if !reflect.DeepEqual(got, []string{"abc"}) {
+	if !reflect.DeepEqual(got, []string{"ab", "abc"}) {
 		t.Fatalf("Tokens = %v", got)
-	}
-}
-
-func TestProfilerURITokens(t *testing.T) {
-	d := entity.NewDescription("http://dbpedia.org/resource/Alan_Turing")
-	p := &Profiler{Scheme: SchemaAgnostic, IncludeURITokens: true}
-	got := p.Tokens(d)
-	want := []string{"alan", "turing"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("URI tokens = %v, want %v", got, want)
-	}
-	p.IncludeURITokens = false
-	if len(p.Tokens(d)) != 0 {
-		t.Fatal("URI tokens leaked with flag off")
-	}
-}
-
-func TestURITokensHashFragment(t *testing.T) {
-	got := URITokens("http://ex.org/onto#Person_Name", nil, 0)
-	want := []string{"person", "name"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("URITokens = %v", got)
-	}
-	if got := URITokens("nolocalpart", nil, 0); !reflect.DeepEqual(got, []string{"nolocalpart"}) {
-		t.Fatalf("URITokens without separator = %v", got)
 	}
 }
 
 func TestDefaultProfiler(t *testing.T) {
 	p := DefaultProfiler()
-	if p.Scheme != SchemaAgnostic || p.Stopwords == nil {
+	if p.Stopwords == nil || p.SkipRefValues {
 		t.Fatal("DefaultProfiler misconfigured")
+	}
+	// Callers get a copy: changing it leaves the shared default alone.
+	p.SkipRefValues = true
+	if DefaultProfiler().SkipRefValues {
+		t.Fatal("DefaultProfiler returned the shared value")
+	}
+}
+
+// TestNilProfilerIsDefault: every method reads a nil receiver as the
+// default profiler, while a non-nil zero Profiler keeps stopwords.
+func TestNilProfilerIsDefault(t *testing.T) {
+	d := entity.NewDescription("").Add("name", "the Alice of Smith").Add("knows", "http://kb/bob")
+	var nilP *Profiler
+	def := DefaultProfiler()
+	if got, want := nilP.Tokens(d), def.Tokens(d); !reflect.DeepEqual(got, want) {
+		t.Fatalf("nil Tokens = %v, default %v", got, want)
+	}
+	if got, want := nilP.Set(d), def.Set(d); !reflect.DeepEqual(got, want) {
+		t.Fatalf("nil Set = %v, default %v", got, want)
+	}
+	if got := nilP.ValueTokens("The Matrix"); !reflect.DeepEqual(got, []string{"matrix"}) {
+		t.Fatalf("nil ValueTokens = %v", got)
+	}
+	if got := (&Profiler{}).ValueTokens("The Matrix"); !reflect.DeepEqual(got, []string{"the", "matrix"}) {
+		t.Fatalf("zero-profiler ValueTokens = %v", got)
 	}
 }

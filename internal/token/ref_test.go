@@ -26,8 +26,8 @@ func TestProfilerSkipRefValues(t *testing.T) {
 		Add("name", "alice").
 		Add("knows", "http://kb/bob").
 		Add("id", "urn:x:9")
-	with := &Profiler{Scheme: SchemaAgnostic, SkipRefValues: true}
-	without := &Profiler{Scheme: SchemaAgnostic}
+	with := &Profiler{SkipRefValues: true}
+	without := &Profiler{}
 	if got := with.Tokens(d); !reflect.DeepEqual(got, []string{"alice"}) {
 		t.Fatalf("ref-skipping tokens = %v", got)
 	}

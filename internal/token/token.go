@@ -1,8 +1,9 @@
 // Package token provides the text normalization and tokenization substrate
 // used throughout the entity-resolution pipeline: schema-agnostic token
 // extraction for token blocking, q-gram extraction for q-grams blocking and
-// edit-based similarity, attribute-qualified tokens for schema-aware keys,
-// and token sets with the usual set algebra.
+// edit-based similarity, and token sets with the usual set algebra. It also
+// owns the default tokenization policy (DefaultProfiler), decided once here
+// for every blocker and matcher.
 //
 // Tokenization choices dominate blocking quality in the Web of data, where
 // descriptions share tokens rather than whole values; every tokenizer here
@@ -85,18 +86,6 @@ func QGrams(s string, q int) []string {
 	return out
 }
 
-// Qualified prefixes each token with an attribute name, producing the
-// schema-aware tokens used by standard blocking and attribute-qualified
-// token blocking: "name#smith" only collides with "name#smith", never with
-// "city#smith".
-func Qualified(attr string, tokens []string) []string {
-	out := make([]string, len(tokens))
-	for i, t := range tokens {
-		out[i] = attr + "#" + t
-	}
-	return out
-}
-
 // Stopwords is a set of tokens excluded from blocking keys. Frequent
 // function words produce enormous blocks with no discriminative power.
 type Stopwords map[string]struct{}
@@ -112,15 +101,17 @@ func NewStopwords(words ...string) Stopwords {
 	return s
 }
 
+// defaultStopwords is built once and never modified.
+var defaultStopwords = NewStopwords(
+	"a", "an", "and", "are", "as", "at", "be", "by", "for", "from",
+	"has", "he", "in", "is", "it", "its", "of", "on", "or", "that",
+	"the", "to", "was", "were", "will", "with",
+)
+
 // DefaultStopwords covers the high-frequency English function words that
-// dominate attribute values in encyclopaedic KBs.
-func DefaultStopwords() Stopwords {
-	return NewStopwords(
-		"a", "an", "and", "are", "as", "at", "be", "by", "for", "from",
-		"has", "he", "in", "is", "it", "its", "of", "on", "or", "that",
-		"the", "to", "was", "were", "will", "with",
-	)
-}
+// dominate attribute values in encyclopaedic KBs. The set is shared and
+// must not be modified.
+func DefaultStopwords() Stopwords { return defaultStopwords }
 
 // Contains reports whether t is a stopword. A nil set contains nothing.
 func (s Stopwords) Contains(t string) bool {

@@ -86,14 +86,6 @@ func TestQGramsCountProperty(t *testing.T) {
 	}
 }
 
-func TestQualified(t *testing.T) {
-	got := Qualified("name", []string{"alice", "smith"})
-	want := []string{"name#alice", "name#smith"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Qualified = %v", got)
-	}
-}
-
 func TestStopwords(t *testing.T) {
 	s := NewStopwords("The", "AND")
 	if !s.Contains("the") || !s.Contains("and") {

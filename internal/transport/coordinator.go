@@ -332,7 +332,7 @@ func (r *Coordinator) Delete(ctx context.Context, id entity.ID) error {
 		return fmt.Errorf("transport: delete of unknown description %d", id)
 	}
 	oldKeys := r.keysOf(old)
-	if err := r.rep.Delete(id); err != nil {
+	if err := r.rep.Delete(ctx, id); err != nil {
 		return err
 	}
 	r.seq++
