@@ -9,6 +9,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"os"
@@ -92,6 +93,9 @@ type ingestResolved struct {
 }
 
 func runIngestBench(short bool, seed int64, workers int, out benchOutput) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	entities := ingestEntitiesFull
 	if short {
 		entities = ingestEntitiesShort
@@ -166,7 +170,7 @@ func runIngestBench(short bool, seed int64, workers int, out benchOutput) error 
 	// resolve bit-identically.
 	resolved := map[string]*ingestResolved{}
 	for _, f := range formats {
-		r, err := resolveIngestFormat(dir, f, sources(f), legs[f], records)
+		r, err := resolveIngestFormat(dir, f, sources(f), legs[f], records, workers)
 		if err != nil {
 			return err
 		}
@@ -238,9 +242,10 @@ func runIngestBench(short bool, seed int64, workers int, out benchOutput) error 
 }
 
 // resolveIngestFormat loads one format's two source files into a fresh
-// clean-clean collection, runs the shared batch pipeline, and renders the
-// canonical digests plus quality against the streamed truth file.
-func resolveIngestFormat(dir, format string, srcs []er.Source, leg *benchIngestLegTimingJSON, records int) (*ingestResolved, error) {
+// clean-clean collection, runs the shared batch pipeline over the given
+// number of workers, and renders the canonical digests plus quality
+// against the streamed truth file.
+func resolveIngestFormat(dir, format string, srcs []er.Source, leg *benchIngestLegTimingJSON, records, workers int) (*ingestResolved, error) {
 	c := er.NewCollection(er.CleanClean)
 	t0 := time.Now()
 	for _, s := range srcs {
@@ -257,9 +262,10 @@ func resolveIngestFormat(dir, format string, srcs []er.Source, leg *benchIngestL
 		Blocker:    &er.TokenBlocking{},
 		Processors: []er.BlockProcessor{&er.MaxComparisonsPurge{Max: ingestPurgeMax}},
 		Matcher:    &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.5},
+		Workers:    workers,
 	}
 	t0 = time.Now()
-	res, err := pipe.Run(c)
+	res, err := pipe.Run(context.Background(), c)
 	if err != nil {
 		return nil, fmt.Errorf("%s resolve: %w", format, err)
 	}

@@ -1,8 +1,8 @@
 // Command erbench runs the reproduction experiment suite E1–E12 (see
 // DESIGN.md §3) and prints the result tables that EXPERIMENTS.md records.
-// With -parallel it instead benchmarks the concurrent pipeline engine
-// against the sequential pipeline on a synthetic workload and prints the
-// per-phase comparison. With -streaming-meta it replays a synthetic insert
+// With -parallel it instead runs one pipeline configuration at one worker
+// and at -workers N on a synthetic workload, asserts identical results and
+// prints the per-phase comparison. With -streaming-meta it replays a synthetic insert
 // stream through the streaming resolver with and without live
 // meta-blocking and reports throughput, the pruning ratio (comparisons
 // saved by the live weighted blocking graph), and the durable leg: WAL
@@ -62,7 +62,7 @@
 // Usage:
 //
 //	erbench [-experiment E1|E2|...|all] [-scale small|medium] [-seed N]
-//	erbench -parallel [-shards N] [-workers N] [-scale small|medium] [-seed N]
+//	erbench -parallel [-workers N] [-scale small|medium] [-seed N]
 //	erbench -streaming-meta [-meta-weight CBS|ECBS|JS] [-meta-prune WEP|WNP]
 //	        [-workers N] [-scale small|medium] [-short] [-seed N]
 //	        [-json FILE] [-baseline FILE [-tolerance F]]
@@ -74,7 +74,7 @@
 //	        [-json FILE] [-baseline FILE [-tolerance F]]
 //	erbench -concurrent [-workers N] [-scale small|medium] [-short] [-seed N]
 //	        [-json FILE] [-baseline FILE [-tolerance F]]
-//	erbench -ingest [-short] [-seed N]
+//	erbench -ingest [-workers N] [-short] [-seed N]
 //	        [-json FILE] [-baseline FILE [-tolerance F]]
 package main
 
@@ -106,9 +106,8 @@ func main() {
 		which    = flag.String("experiment", "all", "experiment id (E1..E12) or 'all'")
 		scale    = flag.String("scale", "small", "experiment scale: small or medium")
 		seed     = flag.Int64("seed", 42, "deterministic data-generation seed")
-		parallel = flag.Bool("parallel", false, "benchmark the concurrent pipeline engine against the sequential pipeline")
-		shards   = flag.Int("shards", 0, "blocking shards for -parallel (0 = GOMAXPROCS)")
-		workers  = flag.Int("workers", 0, "matcher/weighting workers for -parallel (0 = GOMAXPROCS)")
+		parallel = flag.Bool("parallel", false, "run the pipeline at -workers 1 and at -workers N and assert identical results")
+		workers  = flag.Int("workers", 0, "pipeline / resolver workers (0 = GOMAXPROCS)")
 
 		streamMeta = flag.Bool("streaming-meta", false, "benchmark the streaming resolver with and without live meta-blocking and report the pruning ratio")
 		metaWeight = flag.String("meta-weight", "CBS", "stream-safe weight scheme for -streaming-meta: CBS, ECBS or JS")
@@ -149,7 +148,7 @@ func main() {
 		entities = 400
 	}
 	if *parallel {
-		if err := runParallelComparison(sc, *seed, *shards, *workers); err != nil {
+		if err := runParallelComparison(sc, *seed, *workers); err != nil {
 			fmt.Fprintf(os.Stderr, "erbench: %v\n", err)
 			os.Exit(1)
 		}
@@ -221,10 +220,11 @@ func main() {
 	}
 }
 
-// runParallelComparison runs the same pipeline configuration through the
-// sequential core pipeline and the concurrent engine, asserts the match
-// sets are identical, and prints per-phase wall times with the speedup.
-func runParallelComparison(sc experiments.Scale, seed int64, shards, workers int) error {
+// runParallelComparison runs the same pipeline configuration at Workers 1
+// and at Workers N, asserts the two results are identical (matches,
+// comparison count, blocks), and prints per-phase wall times with the
+// speedup.
+func runParallelComparison(sc experiments.Scale, seed int64, workers int) error {
 	entities := 1500
 	if sc == experiments.Medium {
 		entities = 6000
@@ -233,47 +233,48 @@ func runParallelComparison(sc experiments.Scale, seed int64, shards, workers int
 	if err != nil {
 		return err
 	}
-	cfg := er.Pipeline{
-		Blocker:    &er.TokenBlocking{},
-		Processors: []er.BlockProcessor{&er.BlockFiltering{}},
-		Meta:       &er.MetaBlocker{Weight: er.ECBS, Prune: er.WEP},
-		Matcher:    &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.5},
-	}
-	// Report the resolved parallelism, not the raw flags, so recorded
+	// Report the resolved worker count, not the raw flag, so recorded
 	// output says what the measured run actually used.
-	opt := er.ParallelOptions{Workers: workers, Shards: shards}.Resolve()
-	fmt.Printf("pipeline comparison: %d descriptions, seed %d, GOMAXPROCS %d, shards %d, workers %d\n",
-		c.Len(), seed, runtime.GOMAXPROCS(0), opt.Shards, opt.Workers)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	run := func(n int) (*er.PipelineResult, time.Duration, error) {
+		cfg := er.Pipeline{
+			Blocker:    &er.TokenBlocking{},
+			Processors: []er.BlockProcessor{&er.BlockFiltering{}},
+			Meta:       &er.MetaBlocker{Weight: er.ECBS, Prune: er.WEP},
+			Matcher:    &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.5},
+			Workers:    n,
+		}
+		t0 := time.Now()
+		res, err := cfg.Run(context.Background(), c)
+		return res, time.Since(t0), err
+	}
+	fmt.Printf("pipeline comparison: %d descriptions, seed %d, GOMAXPROCS %d, workers 1 vs %d\n",
+		c.Len(), seed, runtime.GOMAXPROCS(0), workers)
 
 	// Discarded warm-up pass: the first run through the data pays allocator
 	// growth and cache warm-up that whichever run goes second would
 	// otherwise inherit for free, biasing the reported speedup.
-	warmCfg := cfg
-	if _, err := warmCfg.Run(c); err != nil {
+	if _, _, err := run(1); err != nil {
 		return fmt.Errorf("warm-up: %w", err)
 	}
-
-	seqCfg := cfg
-	t0 := time.Now()
-	seqRes, err := seqCfg.Run(c)
+	seqRes, seqTotal, err := run(1)
 	if err != nil {
-		return fmt.Errorf("sequential: %w", err)
+		return fmt.Errorf("workers=1: %w", err)
 	}
-	seqTotal := time.Since(t0)
-
-	eng := er.NewParallelPipeline(cfg, opt)
-	t0 = time.Now()
-	parRes, err := eng.Run(context.Background(), c)
+	parRes, parTotal, err := run(workers)
 	if err != nil {
-		return fmt.Errorf("parallel: %w", err)
+		return fmt.Errorf("workers=%d: %w", workers, err)
 	}
-	parTotal := time.Since(t0)
-
-	if !sameMatches(seqRes.Matches, parRes.Matches) {
-		return fmt.Errorf("match sets differ: sequential %d, parallel %d", seqRes.Matches.Len(), parRes.Matches.Len())
+	if !sameMatches(seqRes.Matches, parRes.Matches) || seqRes.Comparisons != parRes.Comparisons || seqRes.Blocks.Len() != parRes.Blocks.Len() {
+		return fmt.Errorf("results differ: workers=1 %d matches/%d comparisons/%d blocks, workers=%d %d/%d/%d",
+			seqRes.Matches.Len(), seqRes.Comparisons, seqRes.Blocks.Len(),
+			workers, parRes.Matches.Len(), parRes.Comparisons, parRes.Blocks.Len())
 	}
 
-	fmt.Printf("\n%-16s %14s %14s\n", "phase", "sequential", "parallel")
+	parCol := fmt.Sprintf("workers=%d", workers)
+	fmt.Printf("\n%-16s %14s %14s\n", "phase", "workers=1", parCol)
 	par := phaseIndex(parRes)
 	for _, ph := range seqRes.Phases {
 		fmt.Printf("%-16s %14v %14v\n", ph.Name, ph.Duration.Round(time.Microsecond), par[ph.Name].Round(time.Microsecond))

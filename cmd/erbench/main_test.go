@@ -264,13 +264,13 @@ func TestRunBurstyIngest(t *testing.T) {
 }
 
 // TestRunParallelComparison drives the batch-pipeline comparison mode once
-// at the small scale; the mode itself asserts sequential/parallel match
-// sets are identical and fails if they diverge.
+// at the small scale; the mode itself asserts the workers=1 and workers=2
+// results are identical and fails if they diverge.
 func TestRunParallelComparison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("batch comparison pass is seconds long")
 	}
-	if err := runParallelComparison(experiments.Small, 7, 2, 2); err != nil {
+	if err := runParallelComparison(experiments.Small, 7, 2); err != nil {
 		t.Fatalf("runParallelComparison: %v", err)
 	}
 }

@@ -206,7 +206,7 @@ func main() {
 		fail(fmt.Errorf("unknown mode %q", *mode))
 	}
 
-	res, err := pipe.Run(c)
+	res, err := pipe.Run(context.Background(), c)
 	if err != nil {
 		fail(err)
 	}

@@ -55,7 +55,6 @@ import (
 	"entityres/internal/matching"
 	"entityres/internal/metablocking"
 	"entityres/internal/multiblock"
-	"entityres/internal/pipeline"
 	"entityres/internal/progressive"
 	"entityres/internal/rdf"
 	"entityres/internal/simjoin"
@@ -306,7 +305,9 @@ func RunProgressive(c *Collection, s Scheduler, m *Matcher, gt *Matches, budget 
 
 // Framework pipeline (Fig. 1).
 type (
-	// Pipeline wires the framework phases.
+	// Pipeline wires the framework phases; Run(ctx, c) executes them over
+	// Pipeline.Workers goroutines (0 = GOMAXPROCS), with the same result
+	// at every worker count.
 	Pipeline = core.Pipeline
 	// PipelineResult is the outcome of a pipeline run.
 	PipelineResult = core.Result
@@ -384,17 +385,8 @@ var (
 	WriteStreamOps = incremental.WriteOps
 )
 
-// Concurrent execution engine.
+// Sharded-execution building blocks.
 type (
-	// ParallelPipeline executes a Pipeline configuration with sharded
-	// worker pools: sharded blocking index build, parallel meta-blocking
-	// edge weighting, a worker-pool matcher fed by a streaming comparison
-	// iterator, and wave-parallel budgeted progressive runs. Results are
-	// deterministic across worker/shard counts (ARCS-weighted
-	// meta-blocking excepted — see the pipeline package docs).
-	ParallelPipeline = pipeline.Engine
-	// ParallelOptions sets the engine's worker and shard counts.
-	ParallelOptions = pipeline.Options
 	// KeyedBlocker is implemented by blockers whose index build can be
 	// sharded across the collection (token, standard, q-grams,
 	// suffix-array, prefix-infix-suffix blocking).
@@ -404,10 +396,13 @@ type (
 	CompareIterator = blocking.CompareIterator
 )
 
-// NewParallelPipeline returns the concurrent engine for a pipeline
-// configuration; run it with Run(ctx, c).
-func NewParallelPipeline(cfg Pipeline, opt ParallelOptions) *ParallelPipeline {
-	return pipeline.New(cfg, opt)
+// ParallelOptions carries a worker count for NewParallelPipeline.
+type ParallelOptions struct{ Workers int }
+
+// NewParallelPipeline returns cfg with Workers set.
+func NewParallelPipeline(cfg Pipeline, opt ParallelOptions) *Pipeline {
+	cfg.Workers = opt.Workers
+	return &cfg
 }
 
 // NewCompareIterator returns a streaming iterator over the distinct

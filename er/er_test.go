@@ -21,7 +21,7 @@ func TestEndToEndFacade(t *testing.T) {
 		Meta:       &er.MetaBlocker{Weight: er.ARCS, Prune: er.WNP},
 		Matcher:    &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.4},
 	}
-	res, err := pipe.Run(c)
+	res, err := pipe.Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestFacadeClusterMetrics(t *testing.T) {
 		Matcher: &er.Matcher{Sim: &er.TokenContainment{}, Threshold: 0.75},
 		Mode:    er.IterativeBlocks,
 	}
-	res, err := pipe.Run(c)
+	res, err := pipe.Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +159,8 @@ func TestFacadeBlockingMetrics(t *testing.T) {
 	}
 }
 
-// TestFacadeParallelPipeline exercises the concurrent engine through the
-// public surface and checks it agrees with the sequential pipeline.
+// TestFacadeParallelPipeline runs one pipeline at one worker and, through
+// the NewParallelPipeline shim, at four, and checks the results agree.
 func TestFacadeParallelPipeline(t *testing.T) {
 	c, gt, err := er.GenerateDirty(er.GenConfig{Seed: 6, Entities: 150})
 	if err != nil {
@@ -173,11 +173,12 @@ func TestFacadeParallelPipeline(t *testing.T) {
 		Matcher:    &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.5},
 	}
 	seq := cfg
-	want, err := seq.Run(c)
+	seq.Workers = 1
+	want, err := seq.Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := er.NewParallelPipeline(cfg, er.ParallelOptions{Workers: 4, Shards: 4}).Run(context.Background(), c)
+	got, err := er.NewParallelPipeline(cfg, er.ParallelOptions{Workers: 4}).Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}

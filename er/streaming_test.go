@@ -64,7 +64,7 @@ func TestFacadeStreamingResolver(t *testing.T) {
 		Blocker: &er.TokenBlocking{},
 		Matcher: &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.5},
 	}
-	res, err := batch.Run(snap)
+	res, err := batch.Run(context.Background(), snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,11 @@ func TestFacadeStreamingMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.5}
-	batch, err := (&er.Pipeline{Blocker: &er.TokenBlocking{}, Matcher: m, Mode: er.Batch}).Run(c)
+	batch, err := (&er.Pipeline{Blocker: &er.TokenBlocking{}, Matcher: m, Mode: er.Batch}).Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := (&er.Pipeline{Blocker: &er.TokenBlocking{}, Matcher: m, Mode: er.StreamingMode}).Run(c)
+	stream, err := (&er.Pipeline{Blocker: &er.TokenBlocking{}, Matcher: m, Mode: er.StreamingMode}).Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestFacadeStreamingMetaBlocking(t *testing.T) {
 	matcher := &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.5}
 
 	batch := &er.Pipeline{Blocker: &er.TokenBlocking{}, Meta: meta, Matcher: matcher, Mode: er.Batch}
-	want, err := batch.Run(c)
+	want, err := batch.Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestFacadeStreamingMetaBlocking(t *testing.T) {
 	}
 	// The streaming resolver's restructured blocks are what Streaming mode
 	// reports as its block collection.
-	stream, err := (&er.Pipeline{Blocker: &er.TokenBlocking{}, Meta: meta, Matcher: matcher, Mode: er.StreamingMode}).Run(c)
+	stream, err := (&er.Pipeline{Blocker: &er.TokenBlocking{}, Meta: meta, Matcher: matcher, Mode: er.StreamingMode}).Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestFacadeShardedResolver(t *testing.T) {
 	}
 
 	// Pipeline knob: StreamShards replays through the sharded resolver.
-	res, err := (&er.Pipeline{Blocker: &er.TokenBlocking{}, Matcher: m, Mode: er.StreamingMode, StreamShards: 4}).Run(c)
+	res, err := (&er.Pipeline{Blocker: &er.TokenBlocking{}, Matcher: m, Mode: er.StreamingMode, StreamShards: 4}).Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}

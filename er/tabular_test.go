@@ -173,7 +173,7 @@ func TestTabularDifferentialParity(t *testing.T) {
 			if c.Len() != sc.collection.Len() {
 				t.Fatalf("%s parsed %d descriptions, generated %d", format, c.Len(), sc.collection.Len())
 			}
-			res, err := mk().Run(c)
+			res, err := mk().Run(context.Background(), c)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", pipeName, format, err)
 			}

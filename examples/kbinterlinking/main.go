@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -56,7 +57,7 @@ func main() {
 		Meta:       &er.MetaBlocker{Weight: er.ARCS, Prune: er.WNP},
 		Matcher:    &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.35},
 	}
-	res, err := pipe.Run(c)
+	res, err := pipe.Run(context.Background(), c)
 	if err != nil {
 		log.Fatal(err)
 	}

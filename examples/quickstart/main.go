@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,7 +40,7 @@ func main() {
 		Meta:       &er.MetaBlocker{Weight: er.ARCS, Prune: er.WNP},
 		Matcher:    &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.25},
 	}
-	res, err := pipe.Run(c)
+	res, err := pipe.Run(context.Background(), c)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,12 +6,15 @@
 // one of the execution modes the tutorial organizes: batch, merging-based
 // iterative (Swoosh), iterative blocking, relationship-based collective,
 // budget-bounded progressive, and streaming (incremental resolution of
-// arriving descriptions, package incremental).
+// arriving descriptions, package incremental). Run is the one runner:
+// every phase that parallelizes does so over Workers goroutines, and the
+// result is the same at every worker count.
 package core
 
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"entityres/internal/blocking"
@@ -97,7 +100,9 @@ type Pipeline struct {
 	// Mode selects the execution strategy (default Batch).
 	Mode Mode
 	// Scheduler builds the progressive schedule (Progressive mode;
-	// defaults to the static block order).
+	// defaults to the static block order). Run feeds outcomes back to an
+	// adaptive scheduler once per 64-comparison wave; progressive.Run is
+	// the runner with strict per-comparison feedback.
 	Scheduler SchedulerFactory
 	// Budget caps comparisons in Progressive mode (0 = unlimited).
 	Budget int64
@@ -129,6 +134,13 @@ type Pipeline struct {
 	// own WAL directory shard-%03d under StreamDir (group-commit fsync
 	// batching).
 	StreamShards int
+	// Workers sizes the worker pools of every phase that has one: the
+	// sharded blocking build (for a blocking.KeyedBlocker), meta-blocking
+	// edge weighting, batch matching, the progressive waves and the
+	// streaming delta matcher. 0 means runtime.GOMAXPROCS(0). The result —
+	// matches, comparison count, blocks — is the same at every worker
+	// count, for every mode and weight scheme.
+	Workers int
 }
 
 // PhaseStat records one framework phase execution.
@@ -156,9 +168,7 @@ type Result struct {
 // components of the match output).
 func (r *Result) Clusters() [][]entity.ID { return r.Matches.Clusters() }
 
-// Validate checks that the configuration is runnable. Both the sequential
-// runner and the concurrent engine (package pipeline) call it, so the two
-// cannot drift apart on what counts as a valid configuration.
+// Validate checks that the configuration is runnable; Run calls it first.
 func (p *Pipeline) Validate() error {
 	if p.Blocker == nil {
 		return fmt.Errorf("core: pipeline requires a Blocker")
@@ -200,9 +210,9 @@ func (p *Pipeline) Validate() error {
 	return nil
 }
 
-// StreamResolver is the method set the single-node and the sharded
+// streamResolver is the method set the single-node and the sharded
 // streaming resolvers share — all a streaming-mode replay needs.
-type StreamResolver interface {
+type streamResolver interface {
 	Insert(ctx context.Context, d *entity.Description) (entity.ID, error)
 	Flush(ctx context.Context) error
 	RestructuredBlocks() (*blocking.Blocks, error)
@@ -212,14 +222,12 @@ type StreamResolver interface {
 	Close() error
 }
 
-// StreamingSetup builds the streaming resolver for a Streaming-mode
+// streamingSetup builds the streaming resolver for a Streaming-mode
 // pipeline over a collection of the given kind: the sharded resolver when
 // StreamShards > 1, the single-node one otherwise; durable (crash-recovered
-// from StreamDir) when the pipeline sets one, in-memory otherwise. Shared
-// by the sequential runner and the concurrent engine so both construct
-// identical resolvers (the engine passes its worker count; the match output
-// is worker-independent).
-func (p *Pipeline) StreamingSetup(kind entity.Kind, workers int) (StreamResolver, error) {
+// from StreamDir) when the pipeline sets one, in-memory otherwise. The
+// match output does not depend on workers.
+func (p *Pipeline) streamingSetup(kind entity.Kind, workers int) (streamResolver, error) {
 	sb, ok := p.Blocker.(blocking.StreamableBlocker)
 	if !ok {
 		return nil, fmt.Errorf("core: streaming mode requires a blocking.StreamableBlocker")
@@ -245,22 +253,19 @@ func (p *Pipeline) StreamingSetup(kind entity.Kind, workers int) (StreamResolver
 }
 
 // nonNil keeps a failed constructor's nil pointer out of the interface.
-func nonNil[R StreamResolver](r R, err error) (StreamResolver, error) {
+func nonNil[R streamResolver](r R, err error) (streamResolver, error) {
 	if err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-// ReplayStreaming replays c through a fresh streaming resolver built from
-// the pipeline configuration (see StreamingSetup) and shapes the outcome
-// as a batch result (matches, comparison count, block collection). It is
-// the single streaming-mode execution path, shared by the sequential
-// runner (one worker, background context) and the concurrent engine (its
-// worker pool and cancellable context) so the two cannot drift apart. The
+// replayStreaming replays c through a fresh streaming resolver built from
+// the pipeline configuration (see streamingSetup) and shapes the outcome
+// as a batch result (matches, comparison count, block collection). The
 // results are bit-exact for every StreamShards value.
-func (p *Pipeline) ReplayStreaming(ctx context.Context, res *Result, c *entity.Collection, workers int) error {
-	r, err := p.StreamingSetup(c.Kind(), workers)
+func (p *Pipeline) replayStreaming(ctx context.Context, res *Result, c *entity.Collection, workers int) error {
+	r, err := p.streamingSetup(c.Kind(), workers)
 	if err != nil {
 		return err
 	}
@@ -301,48 +306,49 @@ func (p *Pipeline) ReplayStreaming(ctx context.Context, res *Result, c *entity.C
 	return r.Close()
 }
 
-// CollectiveSetup returns the collective-mode configuration with the
-// default (the Matcher's similarity and threshold) applied.
-func (p *Pipeline) CollectiveSetup() *iterative.Collective {
-	if p.CollectiveConfig != nil {
-		return p.CollectiveConfig
+// Run executes the pipeline over the collection with Workers-sized worker
+// pools, honoring ctx: the run stops between phases — and, inside the
+// streaming phases, between pair chunks — when ctx is cancelled, returning
+// ctx.Err() wrapped with the phase name. A nil ctx means
+// context.Background().
+//
+// Blocking shards the collection across workers into per-shard inverted
+// indexes merged in ID order (blocking.BuildSharded) when the Blocker
+// exposes a key function, and runs its sequential build otherwise;
+// meta-blocking shards the edge-weight accumulation over the block list
+// (metablocking.BuildGraphParallel); batch matching fans comparisons out to
+// a worker pool fed by a streaming blocking.CompareIterator, so the
+// distinct-pair list is never materialized; progressive runs execute
+// wave-synchronously under an exact comparison budget
+// (progressive.RunParallel), so an adaptive scheduler sees its feedback
+// once per wave — progressive.Run is the strictly per-comparison runner.
+// The iterative modes run their sequential algorithms. The result does not
+// depend on Workers.
+func (p *Pipeline) Run(ctx context.Context, c *entity.Collection) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	return &iterative.Collective{Base: p.Matcher.Sim, Threshold: p.Matcher.Threshold}
-}
-
-// ProgressiveSetup returns the progressive-mode scheduler factory,
-// effective budget and ground truth with defaults applied: static block
-// order, unlimited budget, empty ground truth. Shared with the concurrent
-// engine so both runners execute the same effective configuration.
-func (p *Pipeline) ProgressiveSetup() (SchedulerFactory, int64, *entity.Matches) {
-	factory := p.Scheduler
-	if factory == nil {
-		factory = func(_ *entity.Collection, bs *blocking.Blocks) progressive.Scheduler {
-			return progressive.NewStaticOrder(bs)
-		}
-	}
-	budget := p.Budget
-	if budget <= 0 {
-		budget = 1 << 62
-	}
-	gt := p.GroundTruth
-	if gt == nil {
-		gt = entity.NewMatches()
-	}
-	return factory, budget, gt
-}
-
-// Run executes the pipeline over the collection.
-func (p *Pipeline) Run(c *entity.Collection) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	workers := p.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	res := &Result{}
+	// phase times fn and attributes its error, so cancellations and phase
+	// failures surface as "core: <phase>: <cause>" wherever they occur.
 	phase := func(name string, fn func() error) error {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("core: %s: %w", name, err)
+		}
 		t0 := time.Now()
 		err := fn()
 		res.Phases = append(res.Phases, PhaseStat{Name: name, Duration: time.Since(t0)})
-		return err
+		if err != nil {
+			return fmt.Errorf("core: %s: %w", name, err)
+		}
+		return nil
 	}
 
 	// Streaming mode owns its whole phase sequence: the incremental
@@ -350,9 +356,9 @@ func (p *Pipeline) Run(c *entity.Collection) (*Result, error) {
 	// one pass, so the batch blocking/planning phases below never run.
 	if p.Mode == Streaming {
 		if err := phase("streaming", func() error {
-			return p.ReplayStreaming(context.Background(), res, c, 1)
+			return p.replayStreaming(ctx, res, c, workers)
 		}); err != nil {
-			return nil, fmt.Errorf("core: streaming: %w", err)
+			return nil, err
 		}
 		return res, nil
 	}
@@ -361,24 +367,32 @@ func (p *Pipeline) Run(c *entity.Collection) (*Result, error) {
 	var bs *blocking.Blocks
 	if err := phase("blocking", func() error {
 		var err error
-		bs, err = p.Blocker.Block(c)
+		if kb, ok := p.Blocker.(blocking.KeyedBlocker); ok && workers > 1 {
+			bs, err = blocking.BuildSharded(ctx, c, kb, workers)
+		} else {
+			bs, err = p.Blocker.Block(c)
+		}
 		return err
 	}); err != nil {
-		return nil, fmt.Errorf("core: blocking: %w", err)
+		return nil, err
 	}
 
-	// Planning phase: block cleaning + meta-blocking.
+	// Planning phase: block cleaning (cheap, sequential) + meta-blocking.
 	if len(p.Processors) > 0 {
-		_ = phase("block-cleaning", func() error {
+		if err := phase("block-cleaning", func() error {
 			bs = blockproc.Chain(p.Processors).Process(bs)
 			return nil
-		})
+		}); err != nil {
+			return nil, err
+		}
 	}
 	if p.Meta != nil {
-		_ = phase("meta-blocking", func() error {
-			bs = p.Meta.Restructure(c, bs)
+		if err := phase("meta-blocking", func() error {
+			bs = p.Meta.RestructureParallel(c, bs, workers)
 			return nil
-		})
+		}); err != nil {
+			return nil, err
+		}
 	}
 	res.Blocks = bs
 
@@ -386,8 +400,9 @@ func (p *Pipeline) Run(c *entity.Collection) (*Result, error) {
 	err := phase(p.Mode.String(), func() error {
 		switch p.Mode {
 		case Batch:
-			out := matching.ResolveBlocks(c, bs, p.Matcher)
+			out, err := matching.ResolveBlocksParallel(ctx, c, bs, p.Matcher, workers)
 			res.Matches, res.Comparisons = out.Matches, out.Comparisons
+			return err
 		case MergingIterative:
 			out := iterative.RSwoosh(c, p.Matcher)
 			res.Matches, res.Comparisons = out.Matches, out.Comparisons
@@ -395,14 +410,32 @@ func (p *Pipeline) Run(c *entity.Collection) (*Result, error) {
 			out := iterblock.Resolve(c, bs, p.Matcher)
 			res.Matches, res.Comparisons = out.Matches, out.Comparisons
 		case Collective:
-			out := p.CollectiveSetup().Resolve(c, bs.DistinctPairs().Pairs())
+			coll := p.CollectiveConfig
+			if coll == nil {
+				coll = &iterative.Collective{Base: p.Matcher.Sim, Threshold: p.Matcher.Threshold}
+			}
+			out := coll.Resolve(c, bs.DistinctPairs().Pairs())
 			res.Matches, res.Comparisons = out.Matches, out.Comparisons
 		case Progressive:
-			factory, budget, gt := p.ProgressiveSetup()
-			out := progressive.Run(c, factory(c, bs), p.Matcher, gt, budget)
+			var sched progressive.Scheduler
+			if p.Scheduler != nil {
+				sched = p.Scheduler(c, bs)
+			} else {
+				sched = progressive.NewStaticOrder(bs)
+			}
+			budget := p.Budget
+			if budget <= 0 {
+				budget = 1 << 62
+			}
+			gt := p.GroundTruth
+			if gt == nil {
+				gt = entity.NewMatches()
+			}
+			out, err := progressive.RunParallel(ctx, c, sched, p.Matcher, gt, budget, workers)
 			res.Matches, res.Comparisons, res.Curve = out.Matches, out.Comparisons, out.Curve
+			return err
 		default:
-			return fmt.Errorf("core: unknown mode %v", p.Mode)
+			return fmt.Errorf("unknown mode %v", p.Mode)
 		}
 		return nil
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -26,11 +27,11 @@ func testData(t *testing.T) (*entity.Collection, *entity.Matches) {
 }
 
 func TestPipelineValidation(t *testing.T) {
-	if _, err := (&Pipeline{}).Run(entity.NewCollection(entity.Dirty)); err == nil {
+	if _, err := (&Pipeline{}).Run(context.Background(), entity.NewCollection(entity.Dirty)); err == nil {
 		t.Fatal("missing blocker accepted")
 	}
 	p := &Pipeline{Blocker: &blocking.TokenBlocking{}}
-	if _, err := p.Run(entity.NewCollection(entity.Dirty)); err == nil {
+	if _, err := p.Run(context.Background(), entity.NewCollection(entity.Dirty)); err == nil {
 		t.Fatal("missing matcher accepted")
 	}
 }
@@ -41,7 +42,7 @@ func TestPipelineBatch(t *testing.T) {
 		Blocker: &blocking.TokenBlocking{},
 		Matcher: &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5},
 	}
-	res, err := p.Run(c)
+	res, err := p.Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +71,11 @@ func TestPipelineWithPlanningPhases(t *testing.T) {
 		Meta:       &metablocking.MetaBlocker{Weight: metablocking.ARCS, Prune: metablocking.WNP},
 		Matcher:    m,
 	}
-	r0, err := plain.Run(c)
+	r0, err := plain.Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := planned.Run(c)
+	r1, err := planned.Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestPipelineMergingIterative(t *testing.T) {
 		Matcher: &matching.Matcher{Sim: &matching.TokenContainment{}, Threshold: 0.75},
 		Mode:    MergingIterative,
 	}
-	res, err := p.Run(c)
+	res, err := p.Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestPipelineIterativeBlocks(t *testing.T) {
 		Matcher: &matching.Matcher{Sim: &matching.TokenContainment{}, Threshold: 0.75},
 		Mode:    IterativeBlocks,
 	}
-	res, err := p.Run(c)
+	res, err := p.Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestPipelineCollective(t *testing.T) {
 			Threshold: 0.55,
 		},
 	}
-	res, err := p.Run(c)
+	res, err := p.Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestPipelineProgressive(t *testing.T) {
 		},
 		GroundTruth: gt,
 	}
-	res, err := p.Run(c)
+	res, err := p.Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestPipelineProgressiveDefaults(t *testing.T) {
 		Matcher: &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5},
 		Mode:    Progressive,
 	}
-	res, err := p.Run(c)
+	res, err := p.Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}

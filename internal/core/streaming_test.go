@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sort"
@@ -26,11 +27,11 @@ func TestPipelineStreamingEqualsBatch(t *testing.T) {
 	batch := &Pipeline{Blocker: &blocking.TokenBlocking{}, Matcher: m, Mode: Batch}
 	stream := &Pipeline{Blocker: &blocking.TokenBlocking{}, Matcher: m, Mode: Streaming}
 
-	want, err := batch.Run(c)
+	want, err := batch.Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := stream.Run(c)
+	got, err := stream.Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,13 +69,6 @@ func TestPipelineStreamingEqualsBatch(t *testing.T) {
 func TestPipelineStreamingMetaEqualsBatch(t *testing.T) {
 	c, _ := testData(t)
 	m := &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5}
-	renderBlocks := func(bs *blocking.Blocks) []string {
-		out := make([]string, 0, bs.Len())
-		for _, b := range bs.All() {
-			out = append(out, fmt.Sprintf("%s S0=%v S1=%v", b.Key, b.S0, b.S1))
-		}
-		return out
-	}
 	for _, w := range []metablocking.WeightScheme{metablocking.CBS, metablocking.ECBS, metablocking.JS} {
 		for _, pr := range []metablocking.PruneScheme{metablocking.WEP, metablocking.WNP} {
 			for _, rec := range []bool{false, true} {
@@ -85,11 +79,11 @@ func TestPipelineStreamingMetaEqualsBatch(t *testing.T) {
 				t.Run(meta.Name(), func(t *testing.T) {
 					batch := &Pipeline{Blocker: &blocking.TokenBlocking{}, Meta: meta, Matcher: m, Mode: Batch}
 					stream := &Pipeline{Blocker: &blocking.TokenBlocking{}, Meta: meta, Matcher: m, Mode: Streaming}
-					want, err := batch.Run(c)
+					want, err := batch.Run(context.Background(), c)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := stream.Run(c)
+					got, err := stream.Run(context.Background(), c)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -124,6 +118,15 @@ func sortedPairs(m *entity.Matches) []string {
 		out = append(out, fmt.Sprintf("%d-%d", p.A, p.B))
 	}
 	sort.Strings(out)
+	return out
+}
+
+// renderBlocks renders a block collection, in order, for comparison.
+func renderBlocks(bs *blocking.Blocks) []string {
+	out := make([]string, 0, bs.Len())
+	for _, b := range bs.All() {
+		out = append(out, fmt.Sprintf("%s S0=%v S1=%v", b.Key, b.S0, b.S1))
+	}
 	return out
 }
 
@@ -187,7 +190,7 @@ func TestStreamingValidation(t *testing.T) {
 		},
 	}
 	for name, tc := range cases {
-		_, err := tc.p.Run(c)
+		_, err := tc.p.Run(context.Background(), c)
 		if err == nil {
 			t.Errorf("%s: accepted by streaming mode", name)
 			continue
@@ -205,20 +208,20 @@ func TestStreamingValidation(t *testing.T) {
 				Meta:    &metablocking.MetaBlocker{Weight: w, Prune: pr, Reciprocal: pr == metablocking.WNP},
 				Matcher: m, Mode: Streaming,
 			}
-			if _, err := p.Run(c); err != nil {
+			if _, err := p.Run(context.Background(), c); err != nil {
 				t.Errorf("meta(%s,%s) rejected by streaming mode: %v", w, pr, err)
 			}
 		}
 	}
 }
 
-// TestStreamingSetupErrors covers the construction error paths reachable
-// when the engine calls StreamingSetup outside Run's validation.
+// TestStreamingSetupErrors covers the construction error path Run's
+// validation normally screens out.
 func TestStreamingSetupErrors(t *testing.T) {
 	m := &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5}
 	p := &Pipeline{Blocker: &blocking.AttributeClustering{}, Matcher: m}
-	if _, err := p.StreamingSetup(0, 1); err == nil {
-		t.Fatal("StreamingSetup accepted a collection-dependent blocker")
+	if _, err := p.streamingSetup(0, 1); err == nil {
+		t.Fatal("streamingSetup accepted a collection-dependent blocker")
 	}
 }
 
@@ -236,7 +239,7 @@ func TestStreamingDuplicateURIs(t *testing.T) {
 		Matcher: &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5},
 		Mode:    Streaming,
 	}
-	if _, err := p.Run(c); err == nil {
+	if _, err := p.Run(context.Background(), c); err == nil {
 		t.Fatal("streaming replay accepted duplicate URIs")
 	}
 }
@@ -259,11 +262,11 @@ func TestPipelineStreamingPersistence(t *testing.T) {
 	dur := &Pipeline{Blocker: &blocking.TokenBlocking{}, Matcher: m, Mode: Streaming,
 		StreamDir: dir, StreamDurable: incremental.DurableOptions{NoSync: true, SnapshotEvery: 8}}
 
-	want, err := mem.Run(c)
+	want, err := mem.Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dur.Run(c)
+	got, err := dur.Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +297,7 @@ func TestPipelineStreamingPersistence(t *testing.T) {
 	}
 	// A second durable run into the same directory collides with the live
 	// URIs and fails instead of corrupting state.
-	if _, err := dur.Run(c); err == nil {
+	if _, err := dur.Run(context.Background(), c); err == nil {
 		t.Fatal("re-running a persistent pipeline into a populated directory succeeded")
 	}
 }
@@ -333,7 +336,7 @@ func TestPipelineStreamShards(t *testing.T) {
 		{Weight: metablocking.CBS, Prune: metablocking.WEP},
 	} {
 		batch := &Pipeline{Blocker: &blocking.TokenBlocking{}, Meta: meta, Matcher: m, Mode: Batch}
-		want, err := batch.Run(c)
+		want, err := batch.Run(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +347,7 @@ func TestPipelineStreamShards(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				stream := &Pipeline{Blocker: &blocking.TokenBlocking{}, Meta: meta, Matcher: m, Mode: Streaming, StreamShards: n}
-				got, err := stream.Run(c)
+				got, err := stream.Run(context.Background(), c)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -374,11 +377,11 @@ func TestPipelineStreamShardsDurable(t *testing.T) {
 	p := &Pipeline{Blocker: &blocking.TokenBlocking{}, Matcher: m, Mode: Streaming,
 		StreamShards: 3, StreamDir: dir,
 		StreamDurable: incremental.DurableOptions{NoSync: true, SnapshotEvery: 8}}
-	want, err := p.Run(c)
+	want, err := p.Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := p.StreamingSetup(c.Kind(), 1)
+	sr, err := p.streamingSetup(c.Kind(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,5 +424,86 @@ func TestPipelineStreamShardsValidation(t *testing.T) {
 	p.Mode, p.StreamShards = Batch, 1
 	if err := p.Validate(); err != nil {
 		t.Fatalf("StreamShards=1 rejected: %v", err)
+	}
+}
+
+// TestPipelineStreamingWorkersEqualsBatch checks Streaming mode against the
+// batch result across worker counts: the delta-matching worker pool must
+// not change the result.
+func TestPipelineStreamingWorkersEqualsBatch(t *testing.T) {
+	c := workersCollection(t, 200, 7)
+	cfg := Pipeline{
+		Blocker: &blocking.TokenBlocking{},
+		Matcher: &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5},
+		Mode:    Batch,
+	}
+	want, err := cfg.Run(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		stream := cfg
+		stream.Mode, stream.Workers = Streaming, workers
+		res, err := stream.Run(context.Background(), c)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if gm, wm := sortedPairs(res.Matches), sortedPairs(want.Matches); !reflect.DeepEqual(gm, wm) {
+			t.Fatalf("workers=%d: streaming matches diverge from batch", workers)
+		}
+		if res.Comparisons != want.Comparisons {
+			t.Fatalf("workers=%d: streaming comparisons = %d, batch = %d", workers, res.Comparisons, want.Comparisons)
+		}
+	}
+}
+
+// TestPipelineStreamingCancellation checks a cancelled context stops the
+// replay with an error.
+func TestPipelineStreamingCancellation(t *testing.T) {
+	c := workersCollection(t, 200, 7)
+	p := &Pipeline{
+		Blocker: &blocking.TokenBlocking{},
+		Matcher: &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5},
+		Mode:    Streaming,
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := p.Run(ctx, c); err == nil {
+		t.Fatal("cancelled streaming run succeeded")
+	}
+}
+
+// TestPipelineStreamingMetaWorkersEqualsBatch checks Streaming mode with
+// live meta-blocking against the batch meta pipeline across worker counts:
+// the deferred reconcile runs under the pipeline's pool and context and
+// must not change the result.
+func TestPipelineStreamingMetaWorkersEqualsBatch(t *testing.T) {
+	c := workersCollection(t, 200, 7)
+	cfg := Pipeline{
+		Blocker: &blocking.TokenBlocking{},
+		Meta:    &metablocking.MetaBlocker{Weight: metablocking.ECBS, Prune: metablocking.WNP},
+		Matcher: &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5},
+		Mode:    Batch,
+	}
+	want, err := cfg.Run(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		stream := cfg
+		stream.Mode, stream.Workers = Streaming, workers
+		res, err := stream.Run(context.Background(), c)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if gm, wm := sortedPairs(res.Matches), sortedPairs(want.Matches); !reflect.DeepEqual(gm, wm) {
+			t.Fatalf("workers=%d: streaming-meta matches diverge from batch", workers)
+		}
+		if res.Comparisons != want.Comparisons {
+			t.Fatalf("workers=%d: streaming comparisons = %d, batch = %d", workers, res.Comparisons, want.Comparisons)
+		}
+		if res.Blocks.Len() != want.Blocks.Len() {
+			t.Fatalf("workers=%d: restructured blocks = %d, batch = %d", workers, res.Blocks.Len(), want.Blocks.Len())
+		}
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -65,7 +66,7 @@ func resolveCC(t *testing.T) (artifacts map[string]string, c *entity.Collection,
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = goldenPipeline().Run(c)
+	res, err = goldenPipeline().Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestGoldenCleanClean(t *testing.T) {
 	// the clean-clean end-to-end form of the differential guarantee.
 	stream := goldenPipeline()
 	stream.Mode = core.Streaming
-	sres, err := stream.Run(c)
+	sres, err := stream.Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -94,7 +95,7 @@ func regenerate(t *testing.T) {
 	if err := entity.WriteURIMatches(&truth, c, gt); err != nil {
 		t.Fatal(err)
 	}
-	res, err := goldenPipeline().Run(c)
+	res, err := goldenPipeline().Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestGoldenPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := goldenPipeline().Run(c)
+	res, err := goldenPipeline().Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestGoldenPipeline(t *testing.T) {
 	// end-to-end form of the differential guarantee.
 	stream := goldenPipeline()
 	stream.Mode = core.Streaming
-	sres, err := stream.Run(c)
+	sres, err := stream.Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}

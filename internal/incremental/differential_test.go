@@ -115,7 +115,7 @@ func checkDifferential(t *testing.T, r *incremental.Resolver, dc diffConfig, m *
 	t.Helper()
 	snap, matches := mustSnapshot(t, r)
 	batch := &core.Pipeline{Blocker: dc.blocker, Meta: dc.meta, Matcher: m, Mode: core.Batch}
-	res, err := batch.Run(snap)
+	res, err := batch.Run(context.Background(), snap)
 	if err != nil {
 		t.Fatalf("step %d: batch run: %v", step, err)
 	}

@@ -53,7 +53,7 @@ func TestMetaFlushCancellation(t *testing.T) {
 	}
 	// Reads reconcile lazily, so the first Stats call settles the pending
 	// work and the result equals the batch meta pipeline.
-	want, err := batch.Run(c)
+	want, err := batch.Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}

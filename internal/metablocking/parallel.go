@@ -17,15 +17,16 @@ import (
 //
 // For the counting-based schemes — CBS, ECBS, JS, EJS — every statistic is
 // an integer count, so the weights are bit-identical to BuildGraph for any
-// worker count. ARCS sums floating-point reciprocals; merging shard
-// subtotals can differ from the sequential left-to-right sum in the last
-// ulp, so ARCS weights are equal up to that rounding (the edge ranking is
-// unaffected except on exact ties).
+// worker count. ARCS sums floating-point reciprocals, and merging shard
+// subtotals would differ from the sequential left-to-right sum in the last
+// ulp (flipping exact pruning ties), so ARCS always takes the sequential
+// BuildGraph path: the graph is bit-identical for every scheme and worker
+// count.
 //
 // mapreduce.ParallelBuildGraph computes the same graph as an explicit
 // MapReduce job (the distributed formulation the paper surveys) with its
-// own weighting tail; this function is the in-process fast path the
-// pipeline engine uses. A change to weighting semantics here (in
+// own weighting tail; this function is the in-process fast path
+// core.Pipeline.Run uses. A change to weighting semantics here (in
 // WeightedGraph.Graph, shared with the sequential build and the streaming
 // resolver) must be mirrored there.
 func BuildGraphParallel(bs *blocking.Blocks, scheme WeightScheme, workers int) *graph.Graph {
@@ -36,7 +37,7 @@ func BuildGraphParallel(bs *blocking.Blocks, scheme WeightScheme, workers int) *
 	if workers > nb {
 		workers = nb
 	}
-	if workers <= 1 {
+	if workers <= 1 || scheme == ARCS {
 		return BuildGraph(bs, scheme)
 	}
 	accs := make([]*WeightedGraph, workers)
@@ -63,9 +64,9 @@ func BuildGraphParallel(bs *blocking.Blocks, scheme WeightScheme, workers int) *
 }
 
 // RestructureParallel is Restructure with the graph build sharded across
-// workers. Pruning and emission are unchanged, so the output equals
-// Restructure whenever the weights do (always, for the counting schemes;
-// up to last-ulp ARCS rounding otherwise — see BuildGraphParallel).
+// workers. Pruning and emission are unchanged and the weights are
+// bit-identical (see BuildGraphParallel), so the output equals Restructure
+// for every scheme and worker count.
 func (m *MetaBlocker) RestructureParallel(c *entity.Collection, bs *blocking.Blocks, workers int) *blocking.Blocks {
 	return m.restructure(c, bs, BuildGraphParallel(bs, m.Weight, workers))
 }

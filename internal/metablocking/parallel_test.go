@@ -1,7 +1,6 @@
 package metablocking
 
 import (
-	"math"
 	"testing"
 
 	"entityres/internal/blocking"
@@ -21,9 +20,8 @@ func parallelGraphFixture(t testing.TB) *blocking.Blocks {
 	return bs
 }
 
-// TestBuildGraphParallelMatchesSequential: the counting schemes must be
-// bit-identical for any worker count; ARCS must agree within float
-// rounding.
+// TestBuildGraphParallelMatchesSequential: every scheme must be
+// bit-identical for any worker count.
 func TestBuildGraphParallelMatchesSequential(t *testing.T) {
 	bs := parallelGraphFixture(t)
 	for _, scheme := range WeightSchemes() {
@@ -39,11 +37,7 @@ func TestBuildGraphParallelMatchesSequential(t *testing.T) {
 					t.Fatalf("%s workers=%d: edge %d is {%d,%d}, want {%d,%d}",
 						scheme, workers, i, ge[i].A, ge[i].B, we[i].A, we[i].B)
 				}
-				if scheme == ARCS {
-					if math.Abs(we[i].Weight-ge[i].Weight) > 1e-12*math.Max(1, math.Abs(we[i].Weight)) {
-						t.Fatalf("%s workers=%d: edge %d weight %g, want %g", scheme, workers, i, ge[i].Weight, we[i].Weight)
-					}
-				} else if we[i].Weight != ge[i].Weight {
+				if we[i].Weight != ge[i].Weight {
 					t.Fatalf("%s workers=%d: edge %d weight %g, want %g (must be bit-identical)",
 						scheme, workers, i, ge[i].Weight, we[i].Weight)
 				}
@@ -53,7 +47,7 @@ func TestBuildGraphParallelMatchesSequential(t *testing.T) {
 }
 
 // TestRestructureParallelMatchesSequential: full meta-blocking parity over
-// the counting weight schemes and every pruning scheme.
+// every weight and pruning scheme.
 func TestRestructureParallelMatchesSequential(t *testing.T) {
 	c, _, err := datagen.GenerateDirty(datagen.Config{Entities: 120, Seed: 5})
 	if err != nil {
@@ -63,7 +57,7 @@ func TestRestructureParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, weight := range []WeightScheme{CBS, ECBS, JS, EJS} {
+	for _, weight := range WeightSchemes() {
 		for _, prune := range PruneSchemes() {
 			m := &MetaBlocker{Weight: weight, Prune: prune}
 			want := m.Restructure(c, bs)

@@ -33,6 +33,20 @@ import (
 	"entityres/internal/incremental"
 )
 
+// Connection limits of the HTTP server Serve runs: a client must finish
+// its request header within readHeaderTimeout and its whole request within
+// readTimeout, an idle keep-alive connection is closed after idleTimeout,
+// and a request header over maxHeaderBytes is refused — so a slow or
+// stalled client cannot hold a connection, and its goroutine, forever.
+const (
+	readTimeout    = 60 * time.Second
+	idleTimeout    = 120 * time.Second
+	maxHeaderBytes = 64 << 10
+)
+
+// readHeaderTimeout is a variable only so tests can shorten it.
+var readHeaderTimeout = 10 * time.Second
+
 // Options tunes the query service.
 type Options struct {
 	// MaxInFlight bounds concurrently-admitted requests (default 64).
@@ -200,7 +214,13 @@ func (s *Server) Serve(lis net.Listener) error {
 		lis.Close()
 		return fmt.Errorf("serve: server already started")
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 	s.httpSrv = srv
 	s.mu.Unlock()
 	if err := srv.Serve(lis); err != nil && !errors.Is(err, http.ErrServerClosed) {

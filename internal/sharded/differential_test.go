@@ -187,7 +187,7 @@ func assertBatchEquivalence(t *testing.T, sh *sharded.Resolver, blocker blocking
 	t.Helper()
 	snap, matches := mustSnapshot(t, sh)
 	batch := &core.Pipeline{Blocker: blocker, Meta: meta, Matcher: m, Mode: core.Batch}
-	res, err := batch.Run(snap)
+	res, err := batch.Run(context.Background(), snap)
 	if err != nil {
 		t.Fatalf("step %d: batch run: %v", step, err)
 	}
