@@ -99,6 +99,52 @@ func TestPipelineWorkerDeterminism(t *testing.T) {
 	}
 }
 
+// TestPipelineWorkersMatchSequential: a run at the default worker count
+// reproduces the one-worker run for batch and progressive modes.
+func TestPipelineWorkersMatchSequential(t *testing.T) {
+	c, gt, err := datagen.GenerateDirty(datagen.Config{Entities: 250, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, cfg := range map[string]Pipeline{
+		"batch+meta": batchConfig(),
+		"progressive": {
+			Blocker:     &blocking.TokenBlocking{},
+			Matcher:     &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5},
+			Mode:        Progressive,
+			Budget:      2000,
+			GroundTruth: gt,
+		},
+	} {
+		cfg.Workers = 1
+		want, err := cfg.Run(context.Background(), c)
+		if err != nil {
+			t.Fatalf("%s sequential: %v", label, err)
+		}
+		cfg.Workers = 0
+		got, err := cfg.Run(context.Background(), c)
+		if err != nil {
+			t.Fatalf("%s parallel: %v", label, err)
+		}
+		assertSameResult(t, label, want, got)
+	}
+}
+
+// TestPipelineWorkersValidation: a pipeline without a Blocker or a Matcher
+// is rejected at every worker count.
+func TestPipelineWorkersValidation(t *testing.T) {
+	for _, workers := range []int{1, 4, 0} {
+		p := &Pipeline{Workers: workers}
+		if _, err := p.Run(context.Background(), entity.NewCollection(entity.Dirty)); err == nil {
+			t.Fatalf("workers=%d: missing blocker accepted", workers)
+		}
+		p.Blocker = &blocking.TokenBlocking{}
+		if _, err := p.Run(context.Background(), entity.NewCollection(entity.Dirty)); err == nil {
+			t.Fatalf("workers=%d: missing matcher accepted", workers)
+		}
+	}
+}
+
 // TestPipelineNonKeyedBlockerFallback: blockers without a key function
 // build sequentially while the rest of the run parallelizes.
 func TestPipelineNonKeyedBlockerFallback(t *testing.T) {
