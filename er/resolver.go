@@ -91,7 +91,6 @@ type Result struct {
 	Cluster []ID
 }
 
-// ErrNotFound reports a Query that selected no live description.
 // ErrBroken marks a resolver whose journal has diverged from its in-memory
 // state: a WAL append failed mid-operation and the rollback could not
 // restore the pre-operation picture. Every subsequent mutation AND every
@@ -101,6 +100,12 @@ type Result struct {
 // last consistent state.
 var ErrBroken = incremental.ErrBroken
 
+// ErrSnapshotFormat marks a durable directory whose snapshots were written
+// in a layout this build does not read: Open refuses it rather than start
+// empty — match with errors.Is(err, er.ErrSnapshotFormat).
+var ErrSnapshotFormat = incremental.ErrSnapshotFormat
+
+// ErrNotFound reports a Query that selected no live description.
 type ErrNotFound struct {
 	URI string
 	ID  ID

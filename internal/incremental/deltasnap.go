@@ -1,24 +1,22 @@
-// Chained delta snapshots: the compaction path that serializes only what
-// changed since the previous checkpoint.
+// The snapshot tracker: the dirt a delta checkpoint serializes.
 //
-// A full snapshot (snapshot.go) costs O(collection + weighted graph) per
-// checkpoint, which dominates the write path of a long-lived durable
-// resolver whose per-cadence churn is a tiny fraction of its state. A delta
-// snapshot instead serializes the slots, match-graph edges, weighted-graph
-// statistics, cached decisions and kept-baseline entries DIRTIED since the
-// last checkpoint, plus the absolute counters, and names its parent
-// snapshot. Recovery walks the parent chain from the newest snapshot back
-// to its full anchor, restores the anchor, applies the deltas in order and
-// replays the WAL tail — bit-identical to restoring a full snapshot taken
-// at the same point.
+// A full checkpoint — the parentless anchor link (snapshot.go) — costs
+// O(collection + weighted graph), which would dominate the write path of a
+// long-lived durable resolver whose per-cadence churn is a tiny fraction
+// of its state. A delta link instead lists the slots, match-graph edges,
+// weighted-graph statistics, cached decisions and kept-baseline entries
+// DIRTIED since the last checkpoint, and names its parent. Recovery walks
+// the parent chain from the newest snapshot back to its anchor, applies
+// the links in order and replays the WAL tail — bit-identical to an anchor
+// taken at the same point.
 //
 // The chain is crash-safe by construction: a snapshot's WAL segments are
 // only removed after the snapshot is durable, and snapshots below the
-// chain's full anchor are the only ones ever deleted (Journal.Checkpoint's
+// chain's anchor are the only ones ever deleted (Journal.Checkpoint's
 // keepFrom), so every link the newest snapshot names is on disk whenever
 // recovery runs. Every DurableOptions.RebaseEvery delta links the resolver
-// rebases — writes a full snapshot — which bounds both recovery's chain
-// walk and the disk the retained links occupy.
+// rebases — writes a new anchor — which bounds both recovery's chain walk
+// and the disk the retained links occupy.
 //
 // Dirt is gathered by a snapTracker the resolver consults at every state
 // mutation (nil for in-memory resolvers — the tracking is free unless the
@@ -28,28 +26,16 @@
 package incremental
 
 import (
-	"encoding/json"
-	"fmt"
-	"path/filepath"
-	"sort"
-
 	"entityres/internal/entity"
-	"entityres/internal/graph"
 	"entityres/internal/metablocking"
-	"entityres/internal/wal"
 )
 
-// deltaSnapshotFormat marks a chained delta snapshot; full snapshots keep
-// snapshotFormat. The two share one file namespace and are told apart by
-// the leading format field.
-const deltaSnapshotFormat = 2
-
 // DefaultRebaseEvery is the delta-chain length at which a checkpoint
-// rebases into a full snapshot when DurableOptions.RebaseEvery is zero.
+// rebases into a new anchor when DurableOptions.RebaseEvery is zero.
 const DefaultRebaseEvery = 4
 
 // snapTracker accumulates the state dirtied since the last checkpoint — the
-// exact contents of the next delta snapshot. Only durable resolvers carry
+// exact contents of the next delta link. Only durable resolvers carry
 // one (OpenResolver creates it); every mark helper is a no-op without it.
 type snapTracker struct {
 	// slots are the collection slots whose content, liveness or blocking
@@ -63,7 +49,7 @@ type snapTracker struct {
 	kept map[entity.Pair]struct{}
 	// wg is the weighted graph's change feed (nil without meta-blocking).
 	wg *metablocking.ChangeSet
-	// full forces the next checkpoint to be a full snapshot: set when the
+	// full forces the next checkpoint to be an anchor: set when the
 	// tracker's dirt no longer covers the divergence from the parent
 	// snapshot (a bootstrap's wholesale state load, or a checkpoint that
 	// drained the tracker and then failed to persist).
@@ -80,7 +66,7 @@ func newSnapTracker() *snapTracker {
 }
 
 // reset clears the slot/pair/cache/kept dirt after it was rendered into a
-// snapshot (the weighted-graph feed drains through DeltaSince / Reset).
+// link (the weighted-graph feed drains through DeltaSince or Reset).
 func (t *snapTracker) reset() {
 	t.slots = make(map[entity.ID]struct{})
 	t.pairs = make(map[entity.Pair]struct{})
@@ -117,358 +103,5 @@ func (r *Resolver) markCachePair(p entity.Pair) {
 func (r *Resolver) markKeptPair(p entity.Pair) {
 	if r.snapTrack != nil {
 		r.snapTrack.kept[p] = struct{}{}
-	}
-}
-
-// deltaSnapshotJSON is the wire form of one chain link. Slot, edge, cache
-// and kept entries carry CURRENT values (a removal is an entry whose
-// presence flag is false); counters, the last record and the deferred-work
-// flag are absolute — they are one value each, not worth differencing.
-type deltaSnapshotJSON struct {
-	Format int `json:"format"`
-	// Parent is the snapshot this delta extends — the WAL segment sequence
-	// its file is named after.
-	Parent  uint64 `json:"parent"`
-	Kind    int    `json:"kind"`
-	Blocker string `json:"blocker"`
-	Matcher string `json:"matcher"`
-	Meta    string `json:"meta,omitempty"`
-
-	// SlotCount is the collection's slot count at delta time; restore
-	// verifies it so a missing new-slot entry fails loudly.
-	SlotCount int             `json:"slot_count"`
-	Slots     []deltaSlotJSON `json:"slots,omitempty"`
-	Matches   []edgeDeltaJSON `json:"matches,omitempty"`
-
-	Stats      statsJSON   `json:"stats"`
-	LastRecord *recordJSON `json:"last_record,omitempty"`
-	LastSeq    uint64      `json:"last_seq,omitempty"`
-
-	Weighted  *metablocking.WeightedGraphDelta `json:"weighted,omitempty"`
-	SimCache  []cacheDeltaJSON                 `json:"sim_cache,omitempty"`
-	Kept      []keptDeltaJSON                  `json:"kept,omitempty"`
-	MetaDirty bool                             `json:"meta_dirty,omitempty"`
-}
-
-// deltaSlotJSON is one dirty collection slot: its handle plus the same
-// current-state fields a full snapshot stores per slot.
-type deltaSlotJSON struct {
-	ID int `json:"id"`
-	slotJSON
-}
-
-type edgeDeltaJSON struct {
-	A       entity.ID `json:"a"`
-	B       entity.ID `json:"b"`
-	Present bool      `json:"present,omitempty"`
-}
-
-type cacheDeltaJSON struct {
-	A       entity.ID `json:"a"`
-	B       entity.ID `json:"b"`
-	Present bool      `json:"present,omitempty"`
-	Match   bool      `json:"match,omitempty"`
-}
-
-type keptDeltaJSON struct {
-	A    entity.ID `json:"a"`
-	B    entity.ID `json:"b"`
-	Kept bool      `json:"kept,omitempty"`
-	W    float64   `json:"w,omitempty"`
-}
-
-// encodeDeltaSnapshot renders the tracked dirt as one chain link extending
-// r.snapParent and drains the tracker. It returns the payload plus the
-// serialized slot and weighted-pair counts (the compaction-cost counters).
-// Callers hold r.mu and have checked that a parent exists and the tracker
-// is not forcing a full snapshot.
-func (r *Resolver) encodeDeltaSnapshot() ([]byte, int, int, error) {
-	t := r.snapTrack
-	s := deltaSnapshotJSON{
-		Format:    deltaSnapshotFormat,
-		Parent:    r.snapParent,
-		Kind:      int(r.cfg.Kind),
-		Blocker:   r.cfg.Blocker.Name(),
-		Matcher:   r.cfg.Matcher.Name(),
-		Meta:      r.fingerprintMeta(),
-		SlotCount: r.coll.Len(),
-		Stats: statsJSON{
-			Inserts:     r.stats.Inserts,
-			Updates:     r.stats.Updates,
-			Deletes:     r.stats.Deletes,
-			Comparisons: r.stats.Comparisons,
-		},
-		LastSeq: r.lastSeq,
-	}
-	for _, id := range sortedIDs(t.slots) {
-		if int(id) >= r.coll.Len() {
-			return nil, 0, 0, fmt.Errorf("incremental: delta snapshot tracked slot %d beyond the collection (%d slots)", id, r.coll.Len())
-		}
-		sl := slotJSON{Live: r.live[id]}
-		if sl.Live {
-			d := r.coll.Get(id)
-			sl.URI, sl.Source = d.URI, d.Source
-			for _, a := range d.Attrs {
-				sl.Attrs = append(sl.Attrs, attrJSON{Name: a.Name, Value: a.Value})
-			}
-			sl.Keys = r.blocks.Keys(id)
-		}
-		s.Slots = append(s.Slots, deltaSlotJSON{ID: int(id), slotJSON: sl})
-	}
-	g := r.dyn.Graph()
-	for _, p := range sortedPairs(t.pairs) {
-		_, present := g.Weight(p.A, p.B)
-		s.Matches = append(s.Matches, edgeDeltaJSON{A: p.A, B: p.B, Present: present})
-	}
-	if r.lastRecord != nil {
-		j := recordToJSON(*r.lastRecord)
-		s.LastRecord = &j
-	}
-	if r.weighted != nil {
-		s.Weighted = r.weighted.DeltaSince(t.wg)
-		for _, p := range sortedPairs(t.cache) {
-			sim, ok := r.simCache.Get(p.A, p.B)
-			s.SimCache = append(s.SimCache, cacheDeltaJSON{A: p.A, B: p.B, Present: ok, Match: sim})
-		}
-		for _, p := range sortedPairs(t.kept) {
-			w, kept := lookupKept(r.lastKept, p)
-			s.Kept = append(s.Kept, keptDeltaJSON{A: p.A, B: p.B, Kept: kept, W: w})
-		}
-		s.MetaDirty = r.metaDirty
-	}
-	t.reset()
-	payload, err := json.Marshal(&s)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("incremental: %w", err)
-	}
-	pairs := 0
-	if s.Weighted != nil {
-		pairs = len(s.Weighted.Pairs)
-	}
-	return payload, len(s.Slots), pairs, nil
-}
-
-func sortedIDs(m map[entity.ID]struct{}) []entity.ID {
-	out := make([]entity.ID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sortedPairs(m map[entity.Pair]struct{}) []entity.Pair {
-	out := make([]entity.Pair, 0, len(m))
-	for p := range m {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
-}
-
-// lookupKept finds p in the (A, B)-sorted kept baseline.
-func lookupKept(kept []graph.Edge, p entity.Pair) (float64, bool) {
-	i := sort.Search(len(kept), func(i int) bool {
-		e := kept[i]
-		return e.A > p.A || (e.A == p.A && e.B >= p.B)
-	})
-	if i < len(kept) && kept[i].A == p.A && kept[i].B == p.B {
-		return kept[i].Weight, true
-	}
-	return 0, false
-}
-
-// applyDeltaSnapshot advances a restored baseline by one chain link.
-// Called by OpenResolver between restoreFull and finishRestore, on an
-// unpublished resolver whose weighted graph is NOT yet observing the block
-// index — the slot transitions below rebuild membership without
-// double-counting statistics the delta carries explicitly.
-func (r *Resolver) applyDeltaSnapshot(payload []byte) error {
-	var s deltaSnapshotJSON
-	if err := json.Unmarshal(payload, &s); err != nil {
-		return fmt.Errorf("incremental: decoding delta snapshot: %w", err)
-	}
-	if s.Format != deltaSnapshotFormat {
-		return fmt.Errorf("incremental: delta snapshot format %d is not supported (want %d)", s.Format, deltaSnapshotFormat)
-	}
-	if entity.Kind(s.Kind) != r.cfg.Kind {
-		return fmt.Errorf("incremental: delta snapshot resolves %v collections, resolver configured for %v", entity.Kind(s.Kind), r.cfg.Kind)
-	}
-	if s.Blocker != r.cfg.Blocker.Name() {
-		return fmt.Errorf("incremental: delta snapshot was written under blocker %q, resolver configured with %q", s.Blocker, r.cfg.Blocker.Name())
-	}
-	if s.Matcher != r.cfg.Matcher.Name() {
-		return fmt.Errorf("incremental: delta snapshot was written under matcher %q, resolver configured with %q", s.Matcher, r.cfg.Matcher.Name())
-	}
-	if meta := r.fingerprintMeta(); s.Meta != meta {
-		return fmt.Errorf("incremental: delta snapshot was written under meta-blocking %q, resolver configured with %q", s.Meta, meta)
-	}
-
-	// Dirty slots, handle-ascending. New slots (id == current length) are
-	// appended as dead placeholders first, then transitioned like any other
-	// slot; every slot created since the parent snapshot is in the delta, so
-	// the ascending walk never leaves a gap.
-	prev := -1
-	for i, dsl := range s.Slots {
-		if dsl.ID <= prev {
-			return fmt.Errorf("incremental: delta snapshot slots out of order at entry %d", i)
-		}
-		prev = dsl.ID
-		if dsl.ID > r.coll.Len() {
-			return fmt.Errorf("incremental: delta snapshot skips slots %d..%d — a chain link is missing state", r.coll.Len(), dsl.ID-1)
-		}
-		id := entity.ID(dsl.ID)
-		if dsl.ID == r.coll.Len() {
-			r.coll.MustAdd(&entity.Description{ID: -1})
-			r.live = append(r.live, false)
-		}
-		// Transition: clear the slot's previous live state, then install the
-		// delta's. Old URIs are unmapped before new ones are claimed; a URI
-		// can only ever move to a HIGHER slot between snapshots (inserts
-		// validate global uniqueness, so the old holder died first), and the
-		// ascending walk clears it before the new holder appears.
-		if r.live[id] {
-			old := r.coll.Get(id)
-			if old.URI != "" {
-				delete(r.byURI, old.URI)
-			}
-			r.blocks.Remove(id)
-			r.liveCount--
-		}
-		d := r.coll.Get(id)
-		d.URI, d.Source, d.Attrs = "", 0, nil
-		r.live[id] = dsl.Live
-		if !dsl.Live {
-			continue
-		}
-		d.URI, d.Source = dsl.URI, dsl.Source
-		for _, a := range dsl.Attrs {
-			d.Attrs = append(d.Attrs, entity.Attribute{Name: a.Name, Value: a.Value})
-		}
-		r.liveCount++
-		if d.URI != "" {
-			if _, dup := r.byURI[d.URI]; dup {
-				return fmt.Errorf("incremental: delta snapshot maps URI %q to two live slots", d.URI)
-			}
-			r.byURI[d.URI] = id
-		}
-		if err := r.blocks.Add(id, d.Source, dsl.Keys); err != nil {
-			return fmt.Errorf("incremental: delta snapshot slot %d: %w", dsl.ID, err)
-		}
-	}
-	if r.coll.Len() != s.SlotCount {
-		return fmt.Errorf("incremental: delta snapshot expects %d slots, chain produced %d", s.SlotCount, r.coll.Len())
-	}
-
-	for _, e := range s.Matches {
-		if e.Present {
-			if !r.isLive(e.A) || !r.isLive(e.B) {
-				return fmt.Errorf("incremental: delta snapshot match (%d,%d) references a dead slot", e.A, e.B)
-			}
-			r.dyn.AddEdge(e.A, e.B, 1)
-		} else {
-			r.dyn.RemoveEdge(e.A, e.B)
-		}
-	}
-
-	if r.cfg.Meta != nil {
-		if s.Weighted != nil {
-			if err := r.weighted.ApplyDelta(s.Weighted); err != nil {
-				return fmt.Errorf("incremental: delta snapshot weighted graph: %w", err)
-			}
-		}
-		for _, c := range s.SimCache {
-			if c.Present {
-				r.simCache.Set(c.A, c.B, c.Match)
-			} else {
-				r.simCache.Delete(c.A, c.B)
-			}
-		}
-		if len(s.Kept) > 0 {
-			r.lastKept = applyKeptDeltas(r.lastKept, s.Kept)
-		}
-		r.metaDirty = s.MetaDirty
-	}
-
-	if s.LastRecord != nil {
-		rec, err := recordFromJSON(*s.LastRecord)
-		if err != nil {
-			return fmt.Errorf("incremental: delta snapshot last record: %w", err)
-		}
-		r.lastRecord = &rec
-	}
-	r.stats.Inserts = s.Stats.Inserts
-	r.stats.Updates = s.Stats.Updates
-	r.stats.Deletes = s.Stats.Deletes
-	r.stats.Comparisons = s.Stats.Comparisons
-	r.lastSeq = s.LastSeq
-	return nil
-}
-
-// applyKeptDeltas merges re-fated entries into the (A, B)-sorted kept
-// baseline and returns it re-sorted.
-func applyKeptDeltas(kept []graph.Edge, deltas []keptDeltaJSON) []graph.Edge {
-	m := make(map[entity.Pair]float64, len(kept))
-	for _, e := range kept {
-		m[entity.NewPair(e.A, e.B)] = e.Weight
-	}
-	for _, d := range deltas {
-		p := entity.NewPair(d.A, d.B)
-		if d.Kept {
-			m[p] = d.W
-		} else {
-			delete(m, p)
-		}
-	}
-	out := make([]graph.Edge, 0, len(m))
-	for p, w := range m {
-		out = append(out, graph.Edge{A: p.A, B: p.B, Weight: w})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
-}
-
-// loadSnapshotChain reads the snapshot chain ending at tip: the full
-// anchor's payload and sequence, plus the delta payloads NEWEST FIRST
-// (callers apply them in reverse). Every link the chain names must be on
-// disk — Checkpoint never removes a snapshot a newer one still depends on,
-// so a missing link means the directory was tampered with and recovery
-// refuses rather than restore a silently wrong state.
-func loadSnapshotChain(dir string, tip uint64) (full []byte, fullSeq uint64, deltas [][]byte, err error) {
-	seq := tip
-	for {
-		payload, err := wal.ReadFileFramed(filepath.Join(dir, snapshotFile(seq)))
-		if err != nil {
-			return nil, 0, nil, fmt.Errorf("incremental: reading snapshot chain link %d: %w", seq, err)
-		}
-		var head struct {
-			Format int    `json:"format"`
-			Parent uint64 `json:"parent"`
-		}
-		if err := json.Unmarshal(payload, &head); err != nil {
-			return nil, 0, nil, fmt.Errorf("incremental: decoding snapshot chain link %d: %w", seq, err)
-		}
-		switch head.Format {
-		case snapshotFormat:
-			return payload, seq, deltas, nil
-		case deltaSnapshotFormat:
-			if head.Parent == 0 || head.Parent >= seq {
-				return nil, 0, nil, fmt.Errorf("incremental: delta snapshot %d names parent %d — the chain is corrupt", seq, head.Parent)
-			}
-			deltas = append(deltas, payload)
-			seq = head.Parent
-		default:
-			return nil, 0, nil, fmt.Errorf("incremental: snapshot %d has unsupported format %d", seq, head.Format)
-		}
 	}
 }

@@ -13,12 +13,14 @@
 // handles identical to the original run's.
 //
 // Compaction bounds recovery: every DurableOptions.SnapshotEvery journaled
-// records the resolver rotates the log, writes a snapshot of its full state
-// (surviving descriptions with their blocking keys, match graph, weighted
-// blocking graph, matcher-decision cache, counters) named after the new
-// active segment, and deletes the segments the snapshot covers. OpenResolver
-// restores the latest snapshot and replays only the tail — the records
-// journaled after it.
+// records the resolver rotates the log, writes a snapshot link (snapshot.go)
+// named after the new active segment — the parentless anchor holding the
+// full state (surviving descriptions with their blocking keys, match graph,
+// weighted blocking graph, matcher-decision cache, counters), or a delta
+// link holding only what changed since its parent — and deletes the
+// segments the snapshot covers. OpenResolver applies the newest snapshot's
+// chain from its anchor and replays only the tail — the records journaled
+// after it.
 package incremental
 
 import (
@@ -29,6 +31,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"entityres/internal/blocking"
 	"entityres/internal/entity"
 	"entityres/internal/wal"
 )
@@ -74,13 +77,12 @@ type Journal interface {
 	// Rollback retracts the most recently recorded record after its apply
 	// failed, so the journal holds exactly the acknowledged operations.
 	Rollback() error
-	// Checkpoint durably persists an encoded snapshot (full, or a delta
-	// chain link) and truncates the journal so recovery replays only
-	// records appended after this call. It returns the sequence number the
-	// snapshot file is named after — the parent a subsequent delta names.
-	// keepFrom is the oldest snapshot still needed (the chain's full
-	// anchor); 0 means the new snapshot is self-contained and supersedes
-	// everything before itself.
+	// Checkpoint durably persists an encoded snapshot link and truncates
+	// the journal so recovery replays only records appended after this
+	// call. It returns the sequence number the snapshot file is named
+	// after — the parent a subsequent delta names. keepFrom is the oldest
+	// snapshot still needed (the chain's anchor); 0 means the new snapshot
+	// is itself an anchor and supersedes everything before it.
 	Checkpoint(snapshot []byte, keepFrom uint64) (uint64, error)
 	// Close releases the journal. Already-journaled records stay durable.
 	Close() error
@@ -106,26 +108,17 @@ type DurableOptions struct {
 	// disables automatic compaction, leaving cadence to explicit Compact
 	// calls).
 	SnapshotEvery int
-	// NoSync skips the per-append fsync. A process crash loses nothing (the
-	// page cache survives it); a machine crash may lose operations
-	// acknowledged since the last sync. For tests, benchmarks and workloads
-	// that can afford to replay.
+	// NoSync skips the per-append fsync (wal.Options.NoSync). A process
+	// crash loses nothing (the page cache survives it); a machine crash may
+	// lose operations acknowledged since the last sync. For tests,
+	// benchmarks and workloads that can afford to replay.
 	NoSync bool
 	// RebaseEvery bounds the delta-snapshot chain: after this many delta
-	// links a checkpoint rebases — writes a full snapshot — so recovery's
-	// chain walk and the disk the retained links occupy stay bounded
-	// (default DefaultRebaseEvery; negative disables delta snapshots
-	// entirely, making every checkpoint full).
+	// links a checkpoint rebases — writes a new parentless anchor — so
+	// recovery's chain walk and the disk the retained links occupy stay
+	// bounded (default DefaultRebaseEvery; negative disables delta links
+	// entirely, making every checkpoint an anchor).
 	RebaseEvery int
-	// GroupCommit batches the fsyncs of concurrent journal appenders into
-	// group syncs (wal.Options.GroupCommit): every operation is still
-	// durable before it is acknowledged, but one fsync can cover many.
-	// Batching requires concurrent appenders on one log; a resolver
-	// serializes its own operations, so with a single writer the mode is
-	// sync-for-sync identical to per-op fsync. The sharded resolver
-	// enables it on every per-shard WAL so concurrent ingestion (the
-	// multi-process-transport follow-on) batches automatically.
-	GroupCommit bool
 }
 
 // DefaultSnapshotEvery is the automatic compaction cadence when
@@ -168,13 +161,10 @@ type recordJSON struct {
 }
 
 // recordToJSON renders a record in its wire form; shared by the WAL frame
-// encoder and both snapshot codecs' preserved last record. An OpBatch
-// record nests its sub-records under Ops.
+// encoder and the snapshot link's preserved last record. An OpBatch record
+// nests its sub-records under Ops.
 func recordToJSON(rec Record) recordJSON {
-	j := recordJSON{Op: rec.Kind.String(), Seq: rec.Seq, Adv: rec.Advance, ID: rec.ID, URI: rec.URI, Source: rec.Source}
-	for _, a := range rec.Attrs {
-		j.Attrs = append(j.Attrs, attrJSON{Name: a.Name, Value: a.Value})
-	}
+	j := recordJSON{Op: rec.Kind.String(), Seq: rec.Seq, Adv: rec.Advance, ID: rec.ID, URI: rec.URI, Source: rec.Source, Attrs: attrsToJSON(rec.Attrs)}
 	for _, sub := range rec.Batch {
 		j.Ops = append(j.Ops, recordToJSON(sub))
 	}
@@ -200,9 +190,9 @@ func decodeRecord(payload []byte) (Record, error) {
 }
 
 // recordFromJSON converts the wire form back into a record; shared by the
-// WAL frame decoder and the snapshot codec's preserved last record.
+// WAL frame decoder and the snapshot link's preserved last record.
 func recordFromJSON(j recordJSON) (Record, error) {
-	rec := Record{Seq: j.Seq, Advance: j.Adv, ID: j.ID, URI: j.URI, Source: j.Source}
+	rec := Record{Seq: j.Seq, Advance: j.Adv, ID: j.ID, URI: j.URI, Source: j.Source, Attrs: attrsFromJSON(j.Attrs)}
 	switch j.Op {
 	case "insert":
 		rec.Kind = OpInsert
@@ -223,9 +213,6 @@ func recordFromJSON(j recordJSON) (Record, error) {
 		}
 	default:
 		return Record{}, fmt.Errorf("incremental: journal record has unknown op %q", j.Op)
-	}
-	for _, a := range j.Attrs {
-		rec.Attrs = append(rec.Attrs, entity.Attribute{Name: a.Name, Value: a.Value})
 	}
 	return rec, nil
 }
@@ -327,9 +314,10 @@ func removeSnapshotsBefore(dir string, seq uint64) error {
 
 // OpenResolver opens a durable streaming resolver backed by a write-ahead
 // log in dir, creating the directory on first use. An existing directory is
-// recovered: the newest snapshot is restored (its configuration fingerprint
-// — kind, blocker, matcher, meta-blocker — must match cfg, or OpenResolver
-// fails rather than silently diverge), the WAL tail is replayed through the
+// recovered: the newest snapshot's chain is restored (its configuration
+// fingerprint — kind, blocker, matcher, meta-blocker — must match cfg, or
+// OpenResolver fails rather than silently diverge; a snapshot in an older
+// layout fails with ErrSnapshotFormat), the WAL tail is replayed through the
 // normal apply path, and a torn final record left by a crash mid-append is
 // truncated away by the WAL layer. The recovered resolver is
 // indistinguishable from one that processed the acknowledged operations
@@ -355,7 +343,7 @@ func OpenResolver(dir string, cfg Config) (*Resolver, error) {
 	if _, serr := os.Stat(filepath.Join(dir, ShardedManifestName)); serr == nil {
 		return nil, fmt.Errorf("incremental: %s is a sharded resolver directory (%s present); open it with the sharded resolver", dir, ShardedManifestName)
 	}
-	log, err := wal.Open(dir, wal.Options{SegmentBytes: cfg.Durable.SegmentBytes, NoSync: cfg.Durable.NoSync, GroupCommit: cfg.Durable.GroupCommit})
+	log, err := wal.Open(dir, wal.Options{SegmentBytes: cfg.Durable.SegmentBytes, NoSync: cfg.Durable.NoSync})
 	if err != nil {
 		return nil, fmt.Errorf("incremental: opening wal: %w", err)
 	}
@@ -372,28 +360,29 @@ func OpenResolver(dir string, cfg Config) (*Resolver, error) {
 	}
 	var from uint64
 	if len(snaps) > 0 {
-		// Restore the newest snapshot's chain: its full anchor, then every
-		// delta link in order, with the membership observer detached until
-		// the chain has applied.
+		// Restore the newest snapshot's chain: its parentless anchor, then
+		// every later link in order, into a fresh block index the weighted
+		// graph does not observe until the chain has applied.
 		tip := snaps[len(snaps)-1]
-		full, fullSeq, deltas, err := loadSnapshotChain(dir, tip)
+		links, anchor, err := loadSnapshotChain(dir, tip)
 		if err != nil {
 			return nil, err
 		}
-		if err := r.restoreFull(full); err != nil {
-			return nil, err
-		}
-		for i := len(deltas) - 1; i >= 0; i-- {
-			if err := r.applyDeltaSnapshot(deltas[i]); err != nil {
+		r.blocks = blocking.NewBlockIndex(cfg.Kind)
+		for i := len(links) - 1; i >= 0; i-- {
+			if err := r.applyDeltaSnapshot(links[i]); err != nil {
 				return nil, err
 			}
+		}
+		if err := r.checkRestored(); err != nil {
+			return nil, err
 		}
 		r.finishRestore()
 		from = tip
 		r.recovery.SnapshotSegment = tip
 		r.snapParent = tip
-		r.chainAnchor = fullSeq
-		r.chainLen = len(deltas)
+		r.chainAnchor = anchor
+		r.chainLen = len(links) - 1
 	}
 	// The tracker rides every mutation from here on — the replayed tail is
 	// dirt relative to the restored chain tip, exactly what the next delta
@@ -460,6 +449,28 @@ func (r *Resolver) Close() error {
 	}
 	r.broken = errClosed
 	return r.journal.Close()
+}
+
+// Abandon hard-stops the resolver, simulating a process crash: the
+// journal's file handles — and with them the WAL directory lock, which the
+// kernel would release when a crashed process exits — are dropped with
+// none of the graceful shutdown work (no checkpoint, no reconcile, no
+// final compaction). The on-disk state is exactly what the journaled
+// operations left there, which is what crash recovery must reopen from.
+// It is the kill -9 of the shard lifecycle: sharded.Resolver.StopShard
+// hard-stops a shard with it, and the crash test suites reopen abandoned
+// directories with OpenResolver. Abandoning an in-memory resolver only
+// disables further mutation.
+func (r *Resolver) Abandon() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if j, ok := r.journal.(*walJournal); ok {
+		// Close releases the fds and the flock without writing any record;
+		// the fsync it performs only hardens bytes the journal already
+		// acknowledged, so the logical file content is untouched.
+		j.log.Close()
+	}
+	r.broken = errClosed
 }
 
 // Recovery reports what OpenResolver restored; the zero value for resolvers
@@ -535,23 +546,16 @@ func (r *Resolver) rebaseEvery() int {
 }
 
 // compactLocked checkpoints the resolver through the journal: a delta
-// chain link when a parent snapshot exists, the tracker's dirt covers the
-// divergence from it and the chain is still under its rebase bound; a full
-// snapshot otherwise. Callers hold r.mu.
+// link when a parent snapshot exists, the tracker's dirt covers the
+// divergence from it and the chain is still under its rebase bound; a new
+// parentless anchor otherwise. Callers hold r.mu.
 func (r *Resolver) compactLocked() error {
 	useDelta := r.snapTrack != nil && !r.snapTrack.full &&
 		r.snapParent != 0 && r.chainLen < r.rebaseEvery()
-	var (
-		payload      []byte
-		slots, pairs int
-		keepFrom     uint64
-		err          error
-	)
+	payload, slots, pairs, err := r.encodeDeltaSnapshot(!useDelta)
+	var keepFrom uint64
 	if useDelta {
-		payload, slots, pairs, err = r.encodeDeltaSnapshot()
 		keepFrom = r.chainAnchor
-	} else {
-		payload, slots, pairs, err = r.encodeSnapshot()
 	}
 	if err != nil {
 		return fmt.Errorf("incremental: encoding snapshot: %w", err)
@@ -560,7 +564,7 @@ func (r *Resolver) compactLocked() error {
 	if err != nil {
 		// Encoding drained the tracker into the failed payload; its dirt no
 		// longer covers the divergence from the durable parent, so the next
-		// checkpoint must be full.
+		// checkpoint must be an anchor.
 		if r.snapTrack != nil {
 			r.snapTrack.full = true
 		}

@@ -520,25 +520,32 @@ func TestCorruptJournalRecordsFailRecovery(t *testing.T) {
 	}
 }
 
-// TestMalformedSnapshotFailsRecovery: snapshots that frame correctly but
-// cannot restore — wrong format version, wrong kind, invalid slots, match
-// edges into dead slots, a meta configuration without its weighted graph —
-// fail recovery loudly.
+// TestMalformedSnapshotFailsRecovery: snapshot links that frame correctly
+// but cannot restore — wrong format version, wrong kind, invalid slots,
+// match edges into dead slots, a meta configuration without its weighted
+// graph, removal or duplicate entries in a parentless link, negative
+// counters — fail recovery loudly, each for its own reason.
 func TestMalformedSnapshotFailsRecovery(t *testing.T) {
 	blockerNm := (&blocking.TokenBlocking{}).Name()
 	matcherNm := (&matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5}).Name()
-	head := fmt.Sprintf(`"blocker":%q,"matcher":%q`, blockerNm, matcherNm)
-	stats := `"stats":{"inserts":1,"updates":0,"deletes":0,"comparisons":0}`
-	cases := map[string]string{
-		"bad json":     `{`,
-		"bad format":   `{"format":99}`,
-		"wrong kind":   fmt.Sprintf(`{"format":1,"kind":1,%s,%s}`, head, stats),
-		"dead match":   fmt.Sprintf(`{"format":1,"kind":0,%s,"slots":[{"live":true,"uri":"u:a"}],"matches":[[0,1]],%s}`, head, stats),
-		"bad source":   fmt.Sprintf(`{"format":1,"kind":0,%s,"slots":[{"live":true,"uri":"u:a","source":7}],%s}`, head, stats),
-		"dup uri":      fmt.Sprintf(`{"format":1,"kind":0,%s,"slots":[{"live":true,"uri":"u:a"},{"live":true,"uri":"u:a"}],%s}`, head, stats),
-		"meta missing": fmt.Sprintf(`{"format":1,"kind":0,%s,"meta":"meta(CBS,WEP)",%s}`, head, stats),
+	head := fmt.Sprintf(`"format":2,"parent":0,"blocker":%q,"matcher":%q`, blockerNm, matcherNm)
+	stats := `"stats":{"inserts":2,"updates":0,"deletes":0,"comparisons":0}`
+	two := `"slot_count":2,"slots":[{"id":0,"live":true,"uri":"u:a"},{"id":1,"live":true,"uri":"u:b"}]`
+	cases := map[string]struct{ payload, want string }{
+		"bad json":       {`{`, "decoding"},
+		"bad format":     {`{"format":99}`, "unsupported snapshot format"},
+		"wrong kind":     {fmt.Sprintf(`{%s,"kind":1,%s}`, head, stats), "collections"},
+		"dead match":     {fmt.Sprintf(`{%s,"kind":0,"slot_count":2,"slots":[{"id":0,"live":true,"uri":"u:a"},{"id":1}],"matches":[{"a":0,"b":1,"present":true}],%s}`, head, stats), "dead slot"},
+		"bad source":     {fmt.Sprintf(`{%s,"kind":0,"slot_count":1,"slots":[{"id":0,"live":true,"uri":"u:a","source":7}],%s}`, head, stats), "source"},
+		"dup uri":        {fmt.Sprintf(`{%s,"kind":0,"slot_count":2,"slots":[{"id":0,"live":true,"uri":"u:a"},{"id":1,"live":true,"uri":"u:a"}],%s}`, head, stats), "two live slots"},
+		"meta missing":   {fmt.Sprintf(`{%s,"kind":0,"meta":"meta(CBS,WEP)",%s}`, head, stats), "lacks the weighted"},
+		"anchor removal": {fmt.Sprintf(`{%s,"kind":0,%s,"matches":[{"a":0,"b":1}],%s}`, head, two, stats), "removes match"},
+		"dup match":      {fmt.Sprintf(`{%s,"kind":0,%s,"matches":[{"a":0,"b":1,"present":true},{"a":0,"b":1,"present":true}],%s}`, head, two, stats), "twice"},
+		"reversed match": {fmt.Sprintf(`{%s,"kind":0,%s,"matches":[{"a":1,"b":0,"present":true}],%s}`, head, two, stats), "canonical"},
+		"slot count":     {fmt.Sprintf(`{%s,"kind":0,"slot_count":3,"slots":[{"id":0,"live":true,"uri":"u:a"}],%s}`, head, stats), "expects 3 slots"},
+		"negative stats": {fmt.Sprintf(`{%s,"kind":0,"stats":{"inserts":-1}}`, head), "negative"},
 	}
-	for name, payload := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := durableConfig()
@@ -556,11 +563,15 @@ func TestMalformedSnapshotFailsRecovery(t *testing.T) {
 			if err != nil || len(snaps) != 1 {
 				t.Fatalf("snapshot files = %v (%v)", snaps, err)
 			}
-			if err := wal.WriteFileAtomic(snaps[0], []byte(payload)); err != nil {
+			if err := wal.WriteFileAtomic(snaps[0], []byte(tc.payload)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := incremental.OpenResolver(dir, cfg); err == nil {
+			_, err = incremental.OpenResolver(dir, cfg)
+			if err == nil {
 				t.Fatalf("recovery accepted a %s snapshot", name)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s snapshot refused for the wrong reason: %v (want %q)", name, err, tc.want)
 			}
 		})
 	}

@@ -56,7 +56,7 @@ type PerfCounters struct {
 	// FullSnapshots and DeltaSnapshots count checkpoint compactions by
 	// kind; SnapshotSlots and SnapshotPairs the cumulative collection
 	// slots and weighted-graph pairs they serialized — the compaction-cost
-	// measure (full snapshots serialize everything, deltas only the dirty
+	// measure (anchors serialize everything, deltas only the dirty
 	// entries).
 	FullSnapshots, DeltaSnapshots int64
 	SnapshotSlots, SnapshotPairs  int64

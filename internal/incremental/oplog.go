@@ -101,6 +101,22 @@ type attrJSON struct {
 	Value string `json:"value"`
 }
 
+func attrsToJSON(attrs []entity.Attribute) []attrJSON {
+	var out []attrJSON
+	for _, a := range attrs {
+		out = append(out, attrJSON{Name: a.Name, Value: a.Value})
+	}
+	return out
+}
+
+func attrsFromJSON(attrs []attrJSON) []entity.Attribute {
+	var out []entity.Attribute
+	for _, a := range attrs {
+		out = append(out, entity.Attribute{Name: a.Name, Value: a.Value})
+	}
+	return out
+}
+
 // WriteOps serializes operations as JSON lines through a buffered writer.
 // The buffer is flushed — and the flush error checked — on every return
 // path, including an early return from a mid-stream encoding failure, so a
@@ -114,10 +130,7 @@ func WriteOps(w io.Writer, ops []Op) (err error) {
 	}()
 	enc := json.NewEncoder(bw)
 	for i, op := range ops {
-		j := opJSON{Op: op.Kind.String(), URI: op.URI, Source: op.Source}
-		for _, a := range op.Attrs {
-			j.Attrs = append(j.Attrs, attrJSON{Name: a.Name, Value: a.Value})
-		}
+		j := opJSON{Op: op.Kind.String(), URI: op.URI, Source: op.Source, Attrs: attrsToJSON(op.Attrs)}
 		if err := enc.Encode(j); err != nil {
 			return fmt.Errorf("incremental: op %d: %w", i, err)
 		}
@@ -142,7 +155,7 @@ func ReadOps(r io.Reader) ([]Op, error) {
 		if err := json.Unmarshal([]byte(line), &j); err != nil {
 			return nil, fmt.Errorf("incremental: ops line %d: %w", lineNo, err)
 		}
-		op := Op{URI: j.URI, Source: j.Source}
+		op := Op{URI: j.URI, Source: j.Source, Attrs: attrsFromJSON(j.Attrs)}
 		switch j.Op {
 		case "insert":
 			op.Kind = OpInsert
@@ -152,9 +165,6 @@ func ReadOps(r io.Reader) ([]Op, error) {
 			op.Kind = OpDelete
 		default:
 			return nil, fmt.Errorf("incremental: ops line %d: unknown op %q", lineNo, j.Op)
-		}
-		for _, a := range j.Attrs {
-			op.Attrs = append(op.Attrs, entity.Attribute{Name: a.Name, Value: a.Value})
 		}
 		out = append(out, op)
 	}

@@ -138,7 +138,7 @@ type Resolver struct {
 	// the contents of the next delta snapshot (deltasnap.go); nil for
 	// in-memory resolvers. snapParent is the newest durable snapshot's
 	// sequence (the next delta's parent; 0 before any), chainAnchor the
-	// chain's full snapshot and chainLen the delta links since it.
+	// chain's parentless anchor and chainLen the delta links since it.
 	snapTrack   *snapTracker
 	snapParent  uint64
 	chainAnchor uint64

@@ -365,7 +365,7 @@ func (r *Resolver) Bootstrap(bs BootstrapState) error {
 		return fmt.Errorf("incremental: bootstrap requires a pristine resolver (have %d slots, %d ops)", r.coll.Len(), r.stats.Inserts+r.stats.Updates+r.stats.Deletes)
 	}
 	// A bootstrap is a wholesale state load the mark helpers do not shadow;
-	// the checkpoint below (and any before the next one) must be full.
+	// the checkpoint below (and any before the next one) must be an anchor.
 	if r.snapTrack != nil {
 		r.snapTrack.full = true
 	}

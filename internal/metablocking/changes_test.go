@@ -41,7 +41,7 @@ func TestChangeSetDeltaRoundTrip(t *testing.T) {
 
 	// First link: a tracker-from-birth delta restores the whole graph.
 	wgB := NewWeightedGraph(entity.Dirty)
-	if err := wgB.ApplyDelta(wgA.DeltaSince(cs)); err != nil {
+	if err := wgB.ApplyDelta(wgA.DeltaSince(cs), true); err != nil {
 		t.Fatal(err)
 	}
 	assertKeptEquals(t, 1,
@@ -61,7 +61,7 @@ func TestChangeSetDeltaRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := wgB.ApplyDelta(wgA.DeltaSince(cs)); err != nil {
+	if err := wgB.ApplyDelta(wgA.DeltaSince(cs), false); err != nil {
 		t.Fatal(err)
 	}
 	assertKeptEquals(t, 2,
@@ -82,10 +82,10 @@ func TestChangeSetDeltaRoundTrip(t *testing.T) {
 	}
 
 	// Malformed links fail loudly.
-	if err := wgB.ApplyDelta(nil); err == nil {
+	if err := wgB.ApplyDelta(nil, false); err == nil {
 		t.Fatal("nil delta accepted")
 	}
-	if err := wgB.ApplyDelta(&WeightedGraphDelta{NumBlocks: -1}); err == nil {
+	if err := wgB.ApplyDelta(&WeightedGraphDelta{NumBlocks: -1}, false); err == nil {
 		t.Fatal("negative block count accepted")
 	}
 }

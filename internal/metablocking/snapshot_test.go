@@ -18,13 +18,21 @@ func snapshotFixture(t *testing.T) *WeightedGraph {
 	return FromBlocks(bs)
 }
 
-func TestWeightedGraphSnapshotRoundTrip(t *testing.T) {
-	wg := snapshotFixture(t)
-	snap := wg.Snapshot()
-	got, err := WeightedGraphFromSnapshot(snap)
-	if err != nil {
+// restoreAnchor applies a full rendering to an empty graph — the
+// parentless first link of a snapshot chain.
+func restoreAnchor(t *testing.T, kind entity.Kind, d *WeightedGraphDelta) *WeightedGraph {
+	t.Helper()
+	wg := NewWeightedGraph(kind)
+	if err := wg.ApplyDelta(d, true); err != nil {
 		t.Fatal(err)
 	}
+	return wg
+}
+
+func TestWeightedGraphSnapshotRoundTrip(t *testing.T) {
+	wg := snapshotFixture(t)
+	snap := wg.FullDelta()
+	got := restoreAnchor(t, wg.Kind(), snap)
 	if got.Kind() != wg.Kind() || got.NumBlocks() != wg.NumBlocks() || got.NumPairs() != wg.NumPairs() {
 		t.Fatalf("restored shape differs: kind %v/%v blocks %d/%d pairs %d/%d",
 			got.Kind(), wg.Kind(), got.NumBlocks(), wg.NumBlocks(), got.NumPairs(), wg.NumPairs())
@@ -39,7 +47,7 @@ func TestWeightedGraphSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	// Snapshots are deterministic: same statistics, same layout.
-	if !reflect.DeepEqual(snap, got.Snapshot()) {
+	if !reflect.DeepEqual(snap, got.FullDelta()) {
 		t.Fatal("snapshot of restored graph differs from the original snapshot")
 	}
 }
@@ -59,10 +67,7 @@ func TestWeightedGraphSnapshotRestoredGraphKeepsMaintaining(t *testing.T) {
 	live.Observe(wgLive)
 	seedIndex(live)
 
-	restored, err := WeightedGraphFromSnapshot(wgLive.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := restoreAnchor(t, entity.Dirty, wgLive.FullDelta())
 	recovered := blocking.NewBlockIndex(entity.Dirty)
 	seedIndex(recovered)        // membership rebuilt silently
 	recovered.Observe(restored) // observe only after the rebuild
@@ -72,38 +77,50 @@ func TestWeightedGraphSnapshotRestoredGraphKeepsMaintaining(t *testing.T) {
 		bi.Add(3, 0, []string{"z", "x"})
 		bi.Remove(1)
 	}
-	if !reflect.DeepEqual(wgLive.Snapshot(), restored.Snapshot()) {
-		t.Fatalf("restored graph drifts under continued maintenance:\nwant %+v\ngot  %+v", wgLive.Snapshot(), restored.Snapshot())
+	if !reflect.DeepEqual(wgLive.FullDelta(), restored.FullDelta()) {
+		t.Fatalf("restored graph drifts under continued maintenance:\nwant %+v\ngot  %+v", wgLive.FullDelta(), restored.FullDelta())
 	}
 }
 
 func TestWeightedGraphSnapshotValidation(t *testing.T) {
-	base := snapshotFixture(t).Snapshot()
 	cases := []struct {
 		name   string
-		mutate func(s *WeightedGraphSnapshot)
+		mutate func(s *WeightedGraphDelta)
 	}{
-		{"unknown kind", func(s *WeightedGraphSnapshot) { s.Kind = 9 }},
-		{"negative blocks", func(s *WeightedGraphSnapshot) { s.NumBlocks = -1 }},
-		{"zero appearance count", func(s *WeightedGraphSnapshot) { s.BlocksPer[0].Count = 0 }},
-		{"duplicate description", func(s *WeightedGraphSnapshot) { s.BlocksPer[1] = s.BlocksPer[0] }},
-		{"non-canonical pair", func(s *WeightedGraphSnapshot) { s.Pairs[0].A, s.Pairs[0].B = s.Pairs[0].B, s.Pairs[0].A }},
-		{"non-positive cbs", func(s *WeightedGraphSnapshot) { s.Pairs[0].CBS = 0 }},
-		{"duplicate pair", func(s *WeightedGraphSnapshot) { s.Pairs[1] = s.Pairs[0] }},
+		{"negative blocks", func(s *WeightedGraphDelta) { s.NumBlocks = -1 }},
+		{"zero appearance count", func(s *WeightedGraphDelta) { s.BlocksPer[0].Count = 0 }},
+		{"duplicate description", func(s *WeightedGraphDelta) { s.BlocksPer[1] = s.BlocksPer[0] }},
+		{"non-canonical pair", func(s *WeightedGraphDelta) { s.Pairs[0].A, s.Pairs[0].B = s.Pairs[0].B, s.Pairs[0].A }},
+		{"non-positive cbs", func(s *WeightedGraphDelta) { s.Pairs[0].CBS = 0 }},
+		{"duplicate pair", func(s *WeightedGraphDelta) { s.Pairs[1] = s.Pairs[0] }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := snapshotFixture(t).Snapshot()
+			s := snapshotFixture(t).FullDelta()
 			tc.mutate(s)
-			if _, err := WeightedGraphFromSnapshot(s); err == nil {
+			wg := NewWeightedGraph(entity.Dirty)
+			if err := wg.ApplyDelta(s, true); err == nil {
 				t.Fatalf("validation accepted %s", tc.name)
+			}
+			if wg.NumBlocks() != 0 || wg.NumPairs() != 0 {
+				t.Fatalf("rejected %s still wrote into the graph", tc.name)
 			}
 		})
 	}
-	if _, err := WeightedGraphFromSnapshot(nil); err == nil {
+	if err := NewWeightedGraph(entity.Dirty).ApplyDelta(nil, true); err == nil {
 		t.Fatal("validation accepted nil snapshot")
 	}
-	if _, err := WeightedGraphFromSnapshot(base); err != nil {
+	// Zero counts are removals: legal in a child link, refused in an
+	// anchor, and an anchor only ever applies to an empty graph.
+	removal := &WeightedGraphDelta{Pairs: []PairStats{{A: 0, B: 1}}}
+	if err := snapshotFixture(t).ApplyDelta(removal, false); err != nil {
+		t.Fatalf("child link refused a removal entry: %v", err)
+	}
+	if err := snapshotFixture(t).ApplyDelta(snapshotFixture(t).FullDelta(), true); err == nil {
+		t.Fatal("anchor applied over a non-empty graph")
+	}
+	base := snapshotFixture(t).FullDelta()
+	if err := NewWeightedGraph(entity.Dirty).ApplyDelta(base, true); err != nil {
 		t.Fatalf("validation rejected a well-formed snapshot: %v", err)
 	}
 }

@@ -111,6 +111,16 @@ func (wg *WeightedGraph) EachPair(fn func(p entity.Pair, cbs int) bool) {
 	}
 }
 
+// EachNode enumerates the descriptions with a block appearance and their
+// counts in unspecified order, stopping early if fn returns false.
+func (wg *WeightedGraph) EachNode(fn func(id entity.ID, blocks int) bool) {
+	for id, n := range wg.blocksPer {
+		if !fn(id, n) {
+			return
+		}
+	}
+}
+
 // AccumulateBlock folds one whole block into the statistics: every member
 // is credited with a block appearance and every suggested comparison bumps
 // its pair's common-block count and reciprocal comparison mass. This is

@@ -36,8 +36,8 @@ func FirstSharedKey(a, b []string) (string, bool) { return firstShared(a, b) }
 // standalone shard process (transport.ShardServer) opens its resolver
 // with. It is byte-for-byte the configuration the in-process coordinator
 // builds for its shard i: the raw blocker wrapped in the owned-key lens,
-// the first-shared-key delta filter, group-commit durability — so a shard
-// journal written by either deployment form recovers under the other.
+// the first-shared-key delta filter, the same durability options — so a
+// shard journal written by either deployment form recovers under the other.
 func (cfg Config) NodeConfig(i int) incremental.Config {
 	c, _ := cfg.shardConfig(i)
 	return c

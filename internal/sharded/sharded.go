@@ -44,13 +44,7 @@
 // mid-stream (StopShard — the in-process kill -9) rejoins by restoring its
 // own snapshot plus WAL tail (RejoinShard, riding
 // incremental.OpenResolver's bounded recovery) without any global replay.
-// The shard logs run in group-commit mode (wal.Options.GroupCommit) so
-// concurrent appenders share fsyncs; note that today's coordinator
-// serializes operations, so each shard log sees one appender at a time and
-// batching only materializes once ops pipeline into shards concurrently
-// (the multi-process-transport follow-on) — with a single appender the
-// mode is sync-for-sync identical to per-op fsync. See the README's
-// "Sharded streaming" section for the topology.
+// See the README's "Sharded streaming" section for the topology.
 package sharded
 
 import (
@@ -90,11 +84,7 @@ type Config struct {
 	// 1. Results are bit-exact for every value.
 	Shards int
 	// Durable tunes the per-shard WALs of a resolver opened with Open —
-	// segment size, snapshot cadence, fsync policy. Open always enables
-	// group commit on the shard logs (wal.Options.GroupCommit): identical
-	// durability and sync count under today's one-appender-per-log
-	// coordinator, automatic fsync batching once operations pipeline into
-	// shards concurrently. New ignores the whole struct.
+	// segment size, snapshot cadence, fsync policy. New ignores it.
 	Durable incremental.DurableOptions
 }
 
@@ -323,7 +313,6 @@ func (cfg Config) shardConfig(i int) (incremental.Config, *shardLens) {
 	c.Blocker = &shardBlocker{StreamableBlocker: cfg.Blocker, lens: lens}
 	c.DeltaFilter = lens.filter
 	c.Durable = cfg.Durable
-	c.Durable.GroupCommit = true
 	return c, lens
 }
 

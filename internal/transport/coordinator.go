@@ -44,6 +44,7 @@ import (
 	"entityres/internal/graph"
 	"entityres/internal/incremental"
 	"entityres/internal/sharded"
+	"entityres/internal/wal"
 )
 
 // ShardUnavailableError reports shards that could not be reached during a
@@ -696,7 +697,11 @@ func (r *Coordinator) bootstrapBlob(i int) (blob []byte, err error) {
 		}
 		bs.Comparisons = comp
 	}
-	return encodeBootstrap(bs)
+	payload, err := incremental.EncodeBootstrap(bs)
+	if err != nil {
+		return nil, err
+	}
+	return wal.EncodeFramed(payload)
 }
 
 // compAt returns the cumulative comparison count an uninterrupted shard i

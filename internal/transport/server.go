@@ -18,6 +18,7 @@ import (
 	"entityres/internal/entity"
 	"entityres/internal/incremental"
 	"entityres/internal/sharded"
+	"entityres/internal/wal"
 )
 
 // ShardServer serves one shard's resolver over the wire protocol.
@@ -253,7 +254,11 @@ func (s *ShardServer) applyBatch(payload []byte) (byte, []byte, error) {
 // acknowledged again when the resolver is already exactly at the shipped
 // sequence number.
 func (s *ShardServer) bootstrap(payload []byte) (byte, []byte, error) {
-	bs, err := decodeBootstrap(payload)
+	state, err := wal.DecodeFramed(payload)
+	if err != nil {
+		return 0, nil, fmt.Errorf("transport: bootstrap blob: %w", err)
+	}
+	bs, err := incremental.DecodeBootstrap(state)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -68,7 +68,7 @@ func hammer(t *testing.T, l *wal.Log, goroutines, perG int) map[string]int {
 // deterministic batching assertion lives in TestGroupCommitBatches).
 func TestGroupCommitDurability(t *testing.T) {
 	dir := t.TempDir()
-	l, err := wal.Open(dir, wal.Options{GroupCommit: true, SegmentBytes: 1 << 14})
+	l, err := wal.Open(dir, wal.Options{SegmentBytes: 1 << 14})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestGroupCommitDurability(t *testing.T) {
 // that one sync covered many appends.
 func TestGroupCommitBatches(t *testing.T) {
 	dir := t.TempDir()
-	l, err := wal.Open(dir, wal.Options{GroupCommit: true})
+	l, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestGroupCommitBatches(t *testing.T) {
 // appender still gets one durable sync per append and its records survive.
 func TestGroupCommitSingleAppender(t *testing.T) {
 	dir := t.TempDir()
-	l, err := wal.Open(dir, wal.Options{GroupCommit: true})
+	l, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestGroupCommitSingleAppender(t *testing.T) {
 // durable) and the log seals rather than appending after maybe-lost bytes.
 func TestGroupCommitSyncFailure(t *testing.T) {
 	dir := t.TempDir()
-	l, err := wal.Open(dir, wal.Options{GroupCommit: true})
+	l, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,46 +181,20 @@ func TestGroupCommitSyncFailure(t *testing.T) {
 	}
 }
 
-// BenchmarkAppendFsync measures the per-append fsync baseline with
-// parallel appenders contending on one log (each waits out its own sync).
-func BenchmarkAppendFsync(b *testing.B) {
-	benchmarkAppend(b, wal.Options{})
-}
-
-// BenchmarkAppendGroupCommit measures the same workload with group commit
-// batching the syncs.
+// BenchmarkAppendGroupCommit measures parallel appenders contending on
+// one log, their fsyncs batched into group syncs.
 func BenchmarkAppendGroupCommit(b *testing.B) {
-	benchmarkAppend(b, wal.Options{GroupCommit: true})
-}
-
-func benchmarkAppend(b *testing.B, opts wal.Options) {
-	dir := b.TempDir()
-	// The non-group log is not safe for concurrent use: serialize appends
-	// through a mutex, which is exactly what a caller without group commit
-	// must do — the contended fsync is the cost being measured.
-	opts.SegmentBytes = 1 << 22
-	l, err := wal.Open(dir, opts)
+	l, err := wal.Open(b.TempDir(), wal.Options{SegmentBytes: 1 << 22})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer l.Close()
-	var mu sync.Mutex
 	payload := []byte("benchmark-record-of-plausible-journal-size-0123456789")
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if opts.GroupCommit {
-				if _, err := l.Append(payload); err != nil {
-					b.Error(err)
-					return
-				}
-				continue
-			}
-			mu.Lock()
-			_, err := l.Append(payload)
-			mu.Unlock()
-			if err != nil {
+			if _, err := l.Append(payload); err != nil {
 				b.Error(err)
 				return
 			}
@@ -234,7 +208,7 @@ func benchmarkAppend(b *testing.B, opts wal.Options) {
 // record around segment boundaries is acknowledged durable and replayable.
 func TestGroupCommitRotation(t *testing.T) {
 	dir := t.TempDir()
-	l, err := wal.Open(dir, wal.Options{GroupCommit: true, SegmentBytes: 128})
+	l, err := wal.Open(dir, wal.Options{SegmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package wal implements the durable storage substrate of the streaming
 // resolver: an append-only write-ahead log of CRC-framed records stored in
-// size-rotated segment files, fsync'd per append, with ordered replay and
-// torn-tail recovery.
+// size-rotated segment files, every append durable before it returns, with
+// ordered replay and torn-tail recovery.
 //
 // Layout. A log directory holds numbered segment files ("wal-%016d.seg",
 // sequence numbers ascending from 1). Appends go to the highest-numbered
@@ -25,19 +25,17 @@
 // after the snapshot, bounding recovery cost by the tail of the stream
 // rather than its lifetime.
 //
-// Group commit. With Options.GroupCommit set, Append is safe for
-// concurrent use and the per-append fsyncs of concurrent appenders are
-// batched: each appender still returns only after its record is durable —
-// the same guarantee as per-append fsync — but one fsync can cover every
-// record written before it, so durability stops serializing concurrent
-// writers on disk latency. The first appender to need a sync becomes the
-// leader, syncs everything written so far, and wakes the batch; appenders
-// arriving during the sync form the next batch. See the ROADMAP's group
-// commit item and the sharded streaming resolver, whose per-shard WALs
-// run in this mode.
-//
-// Without GroupCommit a Log is not safe for concurrent use; the streaming
-// resolver serializes operations.
+// Group commit. Append is safe for concurrent use and the fsyncs of
+// concurrent appenders are batched: each appender returns only after its
+// record is durable, but one fsync can cover every record written before
+// it, so durability does not serialize concurrent writers on disk latency.
+// The first appender to need a sync becomes the leader, syncs everything
+// written so far, and wakes the batch; appenders arriving during the sync
+// form the next batch. A lone appender pays exactly one fsync per append.
+// A failed fsync is never retried: the records it covered may be lost, so
+// the log truncates back to its durable prefix and seals — every waiter
+// and every later append fails (the "fsyncgate" rule: an fsync error is
+// not a transient condition).
 package wal
 
 import (
@@ -85,13 +83,6 @@ type Options struct {
 	// page cache). Meant for tests, benchmarks and workloads that checkpoint
 	// explicitly.
 	NoSync bool
-	// GroupCommit makes Append safe for concurrent use and batches the
-	// fsyncs of concurrent appenders into group syncs: every Append still
-	// returns only once its record is durable, but one fsync can cover many
-	// appenders, so N concurrent writers cost far fewer than N syncs.
-	// Durability is therefore >= the per-append-fsync policy at a fraction
-	// of the syncs. Ignored when NoSync is set (there is nothing to batch).
-	GroupCommit bool
 }
 
 // Position addresses a byte offset within one segment — where a record
@@ -106,9 +97,8 @@ type Log struct {
 	dir  string
 	opts Options
 
-	// mu guards the write-path state below. Non-group-commit logs are
-	// owned by one goroutine, so the lock is uncontended there; with
-	// GroupCommit it serializes concurrent appenders' frame writes.
+	// mu guards the write-path state below and serializes concurrent
+	// appenders' frame writes.
 	mu   sync.Mutex
 	f    *os.File
 	lock *os.File // flock'd wal.lock guarding the directory
@@ -139,7 +129,7 @@ type Log struct {
 	groupErr  error
 
 	// syncs counts the fsyncs the append path has issued — the measure the
-	// group-commit regression test compares against the append count.
+	// group-commit regression tests compare against the append count.
 	syncs atomic.Uint64
 	// syncFn, when non-nil, replaces the file fsync (test hook: a slowed
 	// sync forces deterministic batching).
@@ -239,9 +229,9 @@ func (l *Log) Segments() []uint64 {
 
 // Append frames and durably appends one record, returning the position at
 // which it begins (after any rotation). The payload is synced to disk
-// before Append returns unless Options.NoSync is set; with
-// Options.GroupCommit the sync may be a group sync another appender
-// performed, covering this record among others.
+// before Append returns unless Options.NoSync is set; the sync may be a
+// group sync another appender performed, covering this record among
+// others.
 func (l *Log) Append(payload []byte) (Position, error) {
 	l.mu.Lock()
 	if l.f == nil {
@@ -279,21 +269,11 @@ func (l *Log) Append(payload []byte) (Position, error) {
 	l.size += frame
 	l.writeGen++
 	gen := l.writeGen
+	l.mu.Unlock()
 	if l.opts.NoSync {
-		l.mu.Unlock()
 		return pos, nil
 	}
-	if l.opts.GroupCommit {
-		l.mu.Unlock()
-		return pos, l.awaitDurable(gen)
-	}
-	if err := l.doSync(l.f); err != nil {
-		l.repairOrSeal(pos.Offset)
-		l.mu.Unlock()
-		return Position{}, fmt.Errorf("wal: sync: %w", err)
-	}
-	l.mu.Unlock()
-	return pos, nil
+	return pos, l.awaitDurable(gen)
 }
 
 // awaitDurable blocks until a sync covering write generation gen has
@@ -393,9 +373,9 @@ func (l *Log) doSync(f *os.File) error {
 	return f.Sync()
 }
 
-// Syncs returns how many fsyncs the append path has issued so far — with
-// group commit, the number of group syncs, which concurrent appenders keep
-// well below the append count.
+// Syncs returns how many fsyncs the append path has issued so far — the
+// number of group syncs, which concurrent appenders keep well below the
+// append count.
 func (l *Log) Syncs() uint64 { return l.syncs.Load() }
 
 // repairOrSeal drops everything past off from the active segment after a
@@ -497,15 +477,13 @@ func (l *Log) rotateLocked() (uint64, error) {
 	// returns success even if a LATER sync on the new segment fails — its
 	// record is durable and will replay, so it must never be reported
 	// failed.
-	if l.opts.GroupCommit {
-		sealed := l.writeGen
-		l.gmu.Lock()
-		if l.syncedGen < sealed {
-			l.syncedGen = sealed
-			l.gcond.Broadcast()
-		}
-		l.gmu.Unlock()
+	sealed := l.writeGen
+	l.gmu.Lock()
+	if l.syncedGen < sealed {
+		l.syncedGen = sealed
+		l.gcond.Broadcast()
 	}
+	l.gmu.Unlock()
 	return l.seq, nil
 }
 
@@ -565,16 +543,16 @@ func (l *Log) Close() error {
 	if l.f != nil {
 		err = l.f.Sync()
 		if err == nil {
-			// The seal flushed everything: a group-commit appender racing
-			// this Close finds its batch durable rather than failed.
+			// The seal flushed everything: an appender racing this Close
+			// finds its batch durable rather than failed.
 			l.closedSynced = true
-		} else if l.opts.GroupCommit && !l.opts.NoSync {
-			// Close's sync failed, so in-flight group-commit appenders
-			// will be told their records failed: truncate past the durable
-			// prefix before sealing, mirroring the failed-group-sync path,
-			// so reopen never replays an unacknowledged frame. (Fault
-			// injection only — unreachable while appends and Close are
-			// serialized by the resolver.)
+		} else if !l.opts.NoSync {
+			// Close's sync failed, so in-flight appenders will be told
+			// their records failed: truncate past the durable prefix before
+			// sealing, mirroring the failed-group-sync path, so reopen
+			// never replays an unacknowledged frame. (Fault injection only
+			// — unreachable while appends and Close are serialized by the
+			// resolver.)
 			l.f.Truncate(l.syncedSize)
 			l.f.Sync()
 			l.size = l.syncedSize
