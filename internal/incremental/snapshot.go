@@ -476,21 +476,29 @@ func applyKeptDeltas(kept []graph.Edge, deltas []keptDeltaJSON) []graph.Edge {
 }
 
 // checkRestored runs once the whole chain has applied and refuses a state
-// the first reconcile could not evaluate: every weighted statistic must
-// name live, indexed handles, no pair may share more blocks than either
-// endpoint appears in, and no description more blocks than exist. Kept
-// pairs must name live, indexed handles too — except while deferred work
-// is pending, when deletions since the last reconcile may still linger in
-// the baseline (the reconcile retires them without evaluating them).
+// no run could have checkpointed: match edges must join live slots (a
+// later link may have killed a slot an earlier one matched). Under
+// meta-blocking every weighted statistic must name live, indexed handles
+// — the first reconcile evaluates them — no pair may share more blocks
+// than either endpoint appears in, and no description more blocks than
+// exist. Kept pairs must name live, indexed handles too, except while
+// deferred work is pending: deletions since the last reconcile linger in
+// the baseline until that reconcile retires them without evaluating them.
 func (r *Resolver) checkRestored() error {
-	if r.weighted == nil {
-		return nil
+	var err error
+	r.dyn.Graph().EachEdge(func(e graph.Edge) bool {
+		if !r.isLive(e.A) || !r.isLive(e.B) {
+			err = fmt.Errorf("incremental: snapshot match (%d,%d) references a dead slot", e.A, e.B)
+		}
+		return err == nil
+	})
+	if err != nil || r.weighted == nil {
+		return err
 	}
 	indexed := func(id entity.ID) bool {
 		_, ok := r.blocks.SourceOf(id)
 		return ok && r.isLive(id)
 	}
-	var err error
 	r.weighted.EachNode(func(id entity.ID, blocks int) bool {
 		switch {
 		case !indexed(id):

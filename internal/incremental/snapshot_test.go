@@ -275,3 +275,47 @@ func TestBootstrapCodecRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestChainKillingMatchedSlotRefused: each link checks its own match
+// entries, so a delta link that kills a slot its anchor matched — without
+// retiring the match — is only visible once the whole chain has applied.
+// Open must refuse it rather than serve a match on a dead handle.
+func TestChainKillingMatchedSlotRefused(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableConfig()
+	cfg.Durable.SnapshotEvery = -1
+	r, err := incremental.OpenResolver(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i, n := range []string{"bob jones", "bob jones", "alice smith"} {
+		if _, err := r.Insert(ctx, desc(fmt.Sprintf("u:%d", i), n)); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			if err := r.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if m := mustMatches(t, r); m.Len() != 1 {
+		t.Fatalf("scenario has %d matches, want the one (0,1)", m.Len())
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "snapshot-*.snap"))
+	if err != nil || len(snaps) < 2 {
+		t.Fatalf("snapshot files = %v (%v), want an anchor plus a delta", snaps, err)
+	}
+	rewriteLink(t, snaps[len(snaps)-1], func(link map[string]any) {
+		if link["parent"].(float64) == 0 {
+			t.Fatal("tip is an anchor, want a delta link")
+		}
+		link["slots"] = append([]any{map[string]any{"id": 1}}, link["slots"].([]any)...)
+	})
+	if _, err := incremental.OpenResolver(dir, cfg); err == nil || !strings.Contains(err.Error(), "dead slot") {
+		t.Fatalf("open of a chain that kills a matched slot: %v, want a dead-slot refusal", err)
+	}
+}
